@@ -7,8 +7,8 @@ Usage (from the repository root):
 
 The build goes to $CARGO_TARGET_DIR/hycimbench (default
 .bench_build/hycimbench) in Release mode; later runs reuse it.  Build
-output goes to stderr, so the last line of stdout is the driver's JSON
-result line.  Traced runs (--trace 1) also write their spans and exact
+output goes to stderr, so the last line of stdout is the JSON result
+line.  Traced runs (--trace 1) also write their spans and exact
 work counts to <build>/traces/.
 """
 import argparse
@@ -22,7 +22,7 @@ WORKLOADS = ("fig10_qkp", "serve_mix", "ladder_islands")
 
 
 def build(build_dir):
-    """Configures (once) and builds the driver; returns its path."""
+    """Configures (once) and builds the benchmark; returns its path."""
     jobs = str(max(1, os.cpu_count() or 1))
     if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
         generator = ["-G", "Ninja"] if _has("ninja") else []

@@ -1,4 +1,4 @@
-// hycimbench: the repository benchmark driver.
+// hycimbench: the repository benchmark program.
 //
 //   hycimbench --workload fig10_qkp|serve_mix|ladder_islands --seed N
 //              --seconds S --trace 0|1 [--width W] [--out DIR]

@@ -1,4 +1,4 @@
-// Shared measurement plumbing of the benchmark driver: options, timing,
+// Shared measurement plumbing of the benchmark program: options, timing,
 // percentiles, the output check, spans, and the result a workload returns.
 #pragma once
 
