@@ -153,55 +153,31 @@ void dqubo_leg(const Suite& suite, std::uint64_t seed, unsigned width,
 }  // namespace
 
 void run_fig10_qkp(const Options& options, Outcome& out, Trace& trace) {
-  const unsigned width = options.width;
   Suite suite = make_suite();
-  auto svc = std::make_unique<service::Service>(service_config());
-  warm_pool();
-  const JobFn jobs = [&](std::size_t i) {
+  compute_references(suite,
+                     options.trace ? kTracedInits : suite.instances.size());
+  ClosedWorkload workload;
+  workload.config = service_config();
+  workload.job = [&](unsigned width, std::size_t i) {
     return make_job(suite, options.seed, width, i);
   };
-
-  if (!options.trace) {
-    compute_references(suite, suite.instances.size());
-    const std::size_t first = warm_up(*svc, jobs, 0, out);
-    const double setup_s = time_setup(kSetupReps, [&] {
-      const Suite fresh = make_suite();
-      const service::Service session(service_config());
-      warm_pool();
-    });
-    const Phase main =
-        closed_loop(*svc, jobs, first, 0.5 * options.seconds, out);
-    // Peak: one caller per core, each request at width 1.
-    const JobFn serial_jobs = [&](std::size_t i) {
-      return make_job(suite, options.seed, 1, i);
-    };
-    const Phase sat = concurrent_callers(*svc, serial_jobs, main.next_job,
-                                         cores(), 0.5 * options.seconds, out);
-    emit_end_to_end(out, setup_s, main, sat, sat,
-                    main.evaluated / main.busy_seconds,
-                    100.0 * main.successes / main.completed);
-    return;
-  }
-
-  compute_references(suite, kTracedInits);
-  LayerReplay replay(service_config());
-  LayerLedger ledger;
-  LayerExtras extras;
-  extras.pool_before = svc->stats().pool;
-  traced_replay(*svc, replay, jobs, kTracedInits, trace, ledger, extras, out);
-  std::vector<std::unique_ptr<core::DquboSolver>> solvers(
-      suite.instances.size());
-  std::vector<double> build_ms;
-  for (std::size_t i = 0; i < kTracedInits; ++i) {
-    dqubo_leg(suite, options.seed, width, i, solvers, trace, extras, build_ms,
-              out);
-  }
-  extras.dqubo_build_ms = median(build_ms);
-  extras.pool_after = svc->stats().pool;
-  if (!emit_per_layer(out, trace, ledger, extras)) {
-    out.note("layer sum outside tolerance");
-    ++out.mismatches;
-  }
+  workload.setup = [] {
+    const Suite fresh = make_suite();
+    const service::Service session(service_config());
+    warm_pool();
+  };
+  workload.traced_requests = kTracedInits;
+  workload.traced_extra = [&](Trace& t, LayerExtras& extras, Outcome& o) {
+    std::vector<std::unique_ptr<core::DquboSolver>> solvers(
+        suite.instances.size());
+    std::vector<double> build_ms;
+    for (std::size_t i = 0; i < kTracedInits; ++i) {
+      dqubo_leg(suite, options.seed, options.width, i, solvers, t, extras,
+                build_ms, o);
+    }
+    extras.dqubo_build_ms = median(build_ms);
+  };
+  run_closed_workload(options, workload, out, trace);
 }
 
 }  // namespace hycimbench

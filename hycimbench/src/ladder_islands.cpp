@@ -120,47 +120,20 @@ service::ServiceConfig service_config() {
 }  // namespace
 
 void run_ladder_islands(const Options& options, Outcome& out, Trace& trace) {
-  const unsigned width = options.width;
   Instances inst = make_instances();
-  auto svc = std::make_unique<service::Service>(service_config());
-  warm_pool();
   compute_references(inst);
-  const JobFn jobs = [&](std::size_t i) {
+  ClosedWorkload workload;
+  workload.config = service_config();
+  workload.job = [&](unsigned width, std::size_t i) {
     return make_job(inst, options.seed, width, i);
   };
-
-  if (!options.trace) {
-    const std::size_t first = warm_up(*svc, jobs, 0, out);
-    const double setup_s = time_setup(kSetupReps, [&] {
-      const Instances fresh = make_instances();
-      const service::Service session(service_config());
-      warm_pool();
-    });
-    const Phase main =
-        closed_loop(*svc, jobs, first, 0.5 * options.seconds, out);
-    // Peak: one caller per core, each request at width 1.
-    const JobFn serial_jobs = [&](std::size_t i) {
-      return make_job(inst, options.seed, 1, i);
-    };
-    const Phase sat = concurrent_callers(*svc, serial_jobs, main.next_job,
-                                         cores(), 0.5 * options.seconds, out);
-    emit_end_to_end(out, setup_s, main, sat, sat,
-                    main.evaluated / main.busy_seconds,
-                    100.0 * main.successes / main.completed);
-    return;
-  }
-
-  LayerReplay replay(service_config());
-  LayerLedger ledger;
-  LayerExtras extras;
-  extras.pool_before = svc->stats().pool;
-  traced_replay(*svc, replay, jobs, kTracedRequests, trace, ledger, extras,
-                out);
-  extras.pool_after = svc->stats().pool;
-  if (!emit_per_layer(out, trace, ledger, extras)) {
-    out.note("layer sum outside tolerance");
-    ++out.mismatches;
-  }
+  workload.setup = [] {
+    const Instances fresh = make_instances();
+    const service::Service session(service_config());
+    warm_pool();
+  };
+  workload.traced_requests = kTracedRequests;
+  run_closed_workload(options, workload, out, trace);
 }
 
 }  // namespace hycimbench

@@ -81,14 +81,19 @@ double Phase::rate(bool qubo) const {
   return median(per_window);
 }
 
-double time_setup(int reps, const std::function<void()>& setup) {
-  std::vector<double> walls;
-  for (int r = 0; r < reps; ++r) {
+void SetupTimer::sample(double seconds) {
+  const auto start = Clock::now();
+  do {
     const auto t0 = Clock::now();
-    setup();
-    walls.push_back(seconds_between(t0, Clock::now()));
-  }
-  return median(walls);
+    std::size_t reps = 0;
+    double wall = 0.0;
+    do {
+      setup_();
+      ++reps;
+      wall = seconds_between(t0, Clock::now());
+    } while (wall < kSetupBlockSeconds);
+    per_setup_.push_back(wall / static_cast<double>(reps));
+  } while (seconds_between(start, Clock::now()) < seconds);
 }
 
 void warm_pool() {
@@ -284,6 +289,46 @@ void emit_end_to_end(Outcome& out, double setup_s, const Phase& main,
            std::to_string(finite(peak.p99())) + " ms over " +
            std::to_string(peak.latency_ms.size()) + "; saturation " +
            std::to_string(sat.completed) + " completions");
+}
+
+void run_closed_workload(const Options& options,
+                         const ClosedWorkload& workload, Outcome& out,
+                         Trace& trace) {
+  service::Service svc(workload.config);
+  warm_pool();
+  const JobFn jobs = [&](std::size_t i) {
+    return workload.job(options.width, i);
+  };
+  if (!options.trace) {
+    SetupTimer setup(workload.setup);
+    const std::size_t first = warm_up(svc, jobs, 0, out);
+    setup.sample(kSetupSampleSeconds);
+    const Phase main =
+        closed_loop(svc, jobs, first, 0.5 * options.seconds, out);
+    setup.sample(kSetupSampleSeconds);
+    // Peak: one caller per core, each request at width 1.
+    const JobFn serial_jobs = [&](std::size_t i) { return workload.job(1, i); };
+    const Phase peak = concurrent_callers(svc, serial_jobs, main.next_job,
+                                          cores(), 0.5 * options.seconds, out);
+    setup.sample(kSetupSampleSeconds);
+    emit_end_to_end(out, setup.seconds_per_setup(), main, peak, peak,
+                    main.evaluated / main.busy_seconds,
+                    100.0 * main.successes / main.completed);
+    return;
+  }
+
+  LayerReplay replay(workload.config);
+  LayerLedger ledger;
+  LayerExtras extras;
+  extras.pool_before = svc.stats().pool;
+  traced_replay(svc, replay, jobs, workload.traced_requests, trace, ledger,
+                extras, out);
+  if (workload.traced_extra) workload.traced_extra(trace, extras, out);
+  extras.pool_after = svc.stats().pool;
+  if (!emit_per_layer(out, trace, ledger, extras)) {
+    out.note("layer sum outside tolerance");
+    ++out.mismatches;
+  }
 }
 
 }  // namespace hycimbench

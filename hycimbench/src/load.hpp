@@ -20,15 +20,33 @@ struct Job {
 /// Job i of a workload's deterministic request stream.
 using JobFn = std::function<Job(std::size_t)>;
 
-/// Set-up repetitions per run (set-up time is their median).
-inline constexpr int kSetupReps = 15;
+/// Times a workload's set-up.  Each sample runs the set-up back to back
+/// for one block of kSetupBlockSeconds and records the wall per set-up, so
+/// the timer's resolution and one preempted call barely count.  Workloads
+/// sample at several points of a run, so one moment of a shared machine's
+/// contention does not set the result.
+class SetupTimer {
+ public:
+  explicit SetupTimer(std::function<void()> setup) : setup_(std::move(setup)) {}
+
+  /// Times blocks of set-ups for about `seconds`.
+  void sample(double seconds);
+  /// The median wall of one set-up over every block so far, in seconds.
+  double seconds_per_setup() const { return median(per_setup_); }
+
+ private:
+  std::function<void()> setup_;
+  std::vector<double> per_setup_;  ///< one entry per block
+};
+
+/// Length of one timed block of set-ups, and the set-up timing each
+/// sampling point spends.
+inline constexpr double kSetupBlockSeconds = 0.02;
+inline constexpr double kSetupSampleSeconds = 0.3;
 
 /// Untimed load before set-up is timed and the phases start: a shared
 /// virtual machine runs its first seconds of load measurably slower.
 inline constexpr double kWarmupSeconds = 2.0;
-
-/// Runs `setup` `reps` times and returns the median wall in seconds.
-double time_setup(int reps, const std::function<void()>& setup);
 
 /// Starts the shared pool's workers (they spawn lazily on first use).
 void warm_pool();
@@ -110,5 +128,26 @@ void traced_replay(service::Service& svc, LayerReplay& replay,
 void emit_end_to_end(Outcome& out, double setup_s, const Phase& main,
                      const Phase& peak, const Phase& sat, double qubo_per_s,
                      double success_pct);
+
+/// A closed-loop workload: its request stream at a given batch width, the
+/// set-up it times, and its traced run.
+struct ClosedWorkload {
+  service::ServiceConfig config;
+  std::function<Job(unsigned width, std::size_t i)> job;
+  std::function<void()> setup;
+  std::size_t traced_requests = 0;
+  /// Runs after the traced replay (fig10_qkp: the D-QUBO baseline leg);
+  /// may be empty.
+  std::function<void(Trace&, LayerExtras&, Outcome&)> traced_extra;
+};
+
+/// Drives a closed-loop workload on a Service of `workload.config`.
+/// Untraced: warm-up, then half of `options.seconds` with one caller at
+/// `options.width` and half with one width-1 caller per core, set-up timed
+/// before, between and after; prints the end-to-end metrics.  Traced: replays the first `traced_requests`
+/// jobs layer by layer, then `traced_extra`; prints the per-layer metrics.
+void run_closed_workload(const Options& options,
+                         const ClosedWorkload& workload, Outcome& out,
+                         Trace& trace);
 
 }  // namespace hycimbench

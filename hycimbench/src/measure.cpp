@@ -38,14 +38,10 @@ struct Rescored {
   bool feasible = false;
 };
 
-Rescored rescore(const cop::QkpInstance& inst,
-                 std::span<const std::uint8_t> x) {
-  const bool ok = x.size() == inst.n && inst.feasible(x);
-  return {ok ? static_cast<double>(inst.total_profit(x)) : 0.0, ok};
-}
-
-Rescored rescore(const cop::MdkpInstance& inst,
-                 std::span<const std::uint8_t> x) {
+/// Knapsacks (QKP, MDKP); the other kinds have their own overloads below,
+/// which overload resolution prefers to this template.
+template <typename Knapsack>
+Rescored rescore(const Knapsack& inst, std::span<const std::uint8_t> x) {
   const bool ok = x.size() == inst.n && inst.feasible(x);
   return {ok ? static_cast<double>(inst.total_profit(x)) : 0.0, ok};
 }

@@ -57,11 +57,9 @@ double local_search_cut(const cop::MaxCutInstance& g) {
   return g.cut_value(x);
 }
 
-/// An instance of kind `kind` (0 QKP, 1 MDKP, 2 max-cut, 3 bin packing)
-/// and its classical-heuristic reference value.
-std::pair<cop::AnyInstance, double> make_instance(std::size_t kind,
-                                                  std::uint64_t seed,
-                                                  const std::string& name) {
+/// An instance of kind `kind` (0 QKP, 1 MDKP, 2 max-cut, 3 bin packing).
+cop::AnyInstance make_instance(std::size_t kind, std::uint64_t seed,
+                               const std::string& name) {
   switch (kind) {
     case 0: {
       cop::QkpGeneratorParams params;
@@ -69,9 +67,7 @@ std::pair<cop::AnyInstance, double> make_instance(std::size_t kind,
       params.density_percent = 50;
       cop::QkpInstance inst = cop::generate_qkp(params, seed);
       inst.name = name;
-      const auto x = cop::local_search(inst, cop::greedy_solution(inst));
-      const double ref = static_cast<double>(inst.total_profit(x));
-      return {std::move(inst), ref};
+      return inst;
     }
     case 1: {
       cop::MdkpGeneratorParams params;
@@ -81,42 +77,54 @@ std::pair<cop::AnyInstance, double> make_instance(std::size_t kind,
       params.density_percent = 25;
       cop::MdkpInstance inst = cop::generate_mdkp(params, seed);
       inst.name = name;
-      const double ref =
-          static_cast<double>(inst.total_profit(cop::greedy_solution(inst)));
-      return {std::move(inst), ref};
+      return inst;
     }
     case 2: {
       cop::MaxCutInstance inst = cop::generate_maxcut(48, 0.15, seed, 1.0, 4.0);
       inst.name = name;
-      const double ref = local_search_cut(inst);
-      return {std::move(inst), ref};
+      return inst;
     }
     default: {
       cop::BinPackingInstance inst =
           cop::generate_bin_packing(8, 20, 10, seed);
       inst.name = name;
-      const auto bins = cop::first_fit_decreasing(inst);
-      const double ref = static_cast<double>(
-          std::set<std::size_t>(bins.begin(), bins.end()).size());
-      return {std::move(inst), ref};
+      return inst;
     }
   }
 }
 
+/// The classical-heuristic reference value of a make_instance() instance.
+double heuristic_reference(const cop::AnyInstance& any) {
+  if (const auto* qkp = std::get_if<cop::QkpInstance>(&any)) {
+    return static_cast<double>(
+        qkp->total_profit(cop::local_search(*qkp, cop::greedy_solution(*qkp))));
+  }
+  if (const auto* mdkp = std::get_if<cop::MdkpInstance>(&any)) {
+    return static_cast<double>(
+        mdkp->total_profit(cop::greedy_solution(*mdkp)));
+  }
+  if (const auto* cut = std::get_if<cop::MaxCutInstance>(&any)) {
+    return local_search_cut(*cut);
+  }
+  const auto bins =
+      cop::first_fit_decreasing(std::get<cop::BinPackingInstance>(any));
+  return static_cast<double>(
+      std::set<std::size_t>(bins.begin(), bins.end()).size());
+}
+
+/// The hot set's instances (set-up) and their references (never timed).
 struct Mix {
   std::vector<cop::AnyInstance> hot;
   std::vector<double> hot_ref;
 };
 
-Mix make_hot_set() {
-  Mix mix;
+std::vector<cop::AnyInstance> make_hot_set() {
+  std::vector<cop::AnyInstance> hot;
   for (std::size_t h = 0; h < kHotSet; ++h) {
-    auto [inst, ref] = make_instance(h % 4, util::fork_seed(kHotSeed, h),
-                                     "hot_" + std::to_string(h));
-    mix.hot.push_back(std::move(inst));
-    mix.hot_ref.push_back(ref);
+    hot.push_back(make_instance(h % 4, util::fork_seed(kHotSeed, h),
+                                "hot_" + std::to_string(h)));
   }
-  return mix;
+  return hot;
 }
 
 /// The request for `instance`: a short SA batch, hardware filters for the
@@ -145,10 +153,11 @@ Job make_job(const Mix& mix, std::uint64_t seed, unsigned width,
   util::Rng rng = util::fork_stream(seed ^ 0x5E2FEULL, i);
   const std::uint64_t batch_seed = util::fork_seed(seed ^ 0xB47CULL, i);
   if (rng.uniform() < kColdShare) {
-    auto [inst, ref] =
+    cop::AnyInstance inst =
         make_instance(static_cast<std::size_t>(rng.uniform_int(0, 3)),
                       util::fork_seed(seed, 1'000'000 + i),
                       "cold_" + std::to_string(i));
+    const double ref = heuristic_reference(inst);
     return make_request(std::move(inst), ref, 10'000 + i, width, batch_seed);
   }
   const auto h = static_cast<std::size_t>(
@@ -167,7 +176,11 @@ service::ServiceConfig service_config() {
 
 void run_serve_mix(const Options& options, Outcome& out, Trace& trace) {
   const unsigned width = options.width;
-  const Mix mix = make_hot_set();
+  Mix mix;
+  mix.hot = make_hot_set();
+  for (const cop::AnyInstance& inst : mix.hot) {
+    mix.hot_ref.push_back(heuristic_reference(inst));
+  }
   auto svc = std::make_unique<service::Service>(service_config());
   warm_pool();
   const JobFn jobs = [&](std::size_t i) {
@@ -176,32 +189,28 @@ void run_serve_mix(const Options& options, Outcome& out, Trace& trace) {
   const double phase_s = 0.35 * options.seconds;
 
   if (!options.trace) {
-    const std::size_t first = warm_up(*svc, jobs, 0, out);
-    // Set-up includes programming the hot set once: the chip cache is
-    // warm when a session starts serving.
-    const double setup_s = time_setup(kSetupReps, [&] {
-      const Mix fresh = make_hot_set();
-      service::Service session(service_config());
+    SetupTimer setup([] {
+      const std::vector<cop::AnyInstance> fresh = make_hot_set();
+      const service::Service session(service_config());
       warm_pool();
-      for (std::size_t h = 0; h < kHotSet; ++h) {
-        session.solve(make_request(fresh.hot[h], fresh.hot_ref[h], 900 + h,
-                                   width, h)
-                          .request);
-      }
     });
+    const std::size_t first = warm_up(*svc, jobs, 0, out);
+    setup.sample(kSetupSampleSeconds);
     const Phase nominal = open_loop(*svc, jobs, first, kNominalRps, phase_s,
                                     util::fork_seed(options.seed, 1), out);
+    setup.sample(kSetupSampleSeconds);
     const Phase peak = open_loop(*svc, jobs, nominal.next_job, kPeakRps,
                                  phase_s, util::fork_seed(options.seed, 2),
                                  out);
     const Phase sat = saturation(*svc, jobs, peak.next_job, 4 * cores(),
                                  0.3 * options.seconds, out);
+    setup.sample(kSetupSampleSeconds);
     const std::size_t completed =
         nominal.completed + peak.completed + sat.completed;
     out.note("sender lag p99 ms: nominal " +
              std::to_string(percentile(nominal.lag_ms, 0.99)) + ", peak " +
              std::to_string(percentile(peak.lag_ms, 0.99)));
-    emit_end_to_end(out, setup_s, nominal, peak, sat,
+    emit_end_to_end(out, setup.seconds_per_setup(), nominal, peak, sat,
                     sat.rate(true),
                     100.0 *
                         (nominal.successes + peak.successes + sat.successes) /
