@@ -42,7 +42,7 @@ class SetupTimer {
 /// Length of one timed block of set-ups, and the set-up timing each
 /// sampling point spends.
 inline constexpr double kSetupBlockSeconds = 0.02;
-inline constexpr double kSetupSampleSeconds = 0.3;
+inline constexpr double kSetupSampleSeconds = 0.2;
 
 /// Untimed load before set-up is timed and the phases start: a shared
 /// virtual machine runs its first seconds of load measurably slower.
@@ -58,7 +58,9 @@ std::size_t warm_up(service::Service& svc, const JobFn& jobs,
                     std::size_t first, Outcome& out);
 
 /// Slices a phase is cut into for its robust statistics: a stall of the
-/// shared machine then moves one slice, not the reported median.
+/// shared machine then moves one slice, not the reported median.  An
+/// untraced run also takes its phases in kSlices alternating rounds, so
+/// each phase samples the whole run rather than one stretch of it.
 inline constexpr std::size_t kSlices = 5;
 
 /// What a phase measured.
@@ -80,8 +82,12 @@ struct Phase {
   /// p99 latency: each of kSlices consecutive slices of the samples gives
   /// its p99; the median of those.
   double p99() const;
-  /// Completions (qubo: QUBO computations) per second: the median over
-  /// kSlices equal windows of [0, seconds).
+  /// Appends a later round of the same phase: its samples, counts and
+  /// time.  Completions after the round's window are left out of rate().
+  void absorb(const Phase& round);
+  /// Completions (qubo: QUBO computations) per second within kSlices
+  /// equal windows of [0, seconds), each timed from its first to its last
+  /// completion.
   double rate(bool qubo = false) const;
 };
 
@@ -142,10 +148,12 @@ struct ClosedWorkload {
 };
 
 /// Drives a closed-loop workload on a Service of `workload.config`.
-/// Untraced: warm-up, then half of `options.seconds` with one caller at
-/// `options.width` and half with one width-1 caller per core, set-up timed
-/// before, between and after; prints the end-to-end metrics.  Traced: replays the first `traced_requests`
-/// jobs layer by layer, then `traced_extra`; prints the per-layer metrics.
+/// Untraced: warm-up, then kSlices rounds, each spending half of its share
+/// of `options.seconds` with one caller at `options.width` and half with
+/// width-1 callers on half the cores, set-up timed before and after every
+/// round; prints the end-to-end metrics.  Traced: replays the first
+/// `traced_requests` jobs layer by layer, then `traced_extra`; prints the
+/// per-layer metrics.
 void run_closed_workload(const Options& options,
                          const ClosedWorkload& workload, Outcome& out,
                          Trace& trace);
