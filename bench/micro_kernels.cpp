@@ -20,6 +20,7 @@
 #include "cim/crossbar/vmv_engine.hpp"
 #include "cim/filter/filter_bank.hpp"
 #include "cim/filter/inequality_filter.hpp"
+#include "core/hycim_solver.hpp"
 #include "core/inequality_qubo.hpp"
 #include "cop/adapters.hpp"
 #include "cop/maxcut.hpp"
@@ -456,6 +457,28 @@ BENCHMARK(BM_CircuitTrialDeltaByKernel)
     ->Args({100, 1})
     ->Args({200, 0})
     ->Args({200, 1});
+
+void BM_ChipClone(benchmark::State& state) {
+  // "Program once, solve many": one HyCimSolver clone of a fabricated chip
+  // — what solve_batch pays per run and the service per request.  Arg 0 is
+  // the n=100 QKP hardware-filter chip at quantized fidelity (the fig10
+  // configuration), arg 1 an n=32 kCircuit chip, so the crossbars' share
+  // is measured too.  Clones share the programmed cells; the cost left is
+  // the matrices, comparators, and per-array bound state.
+  const bool circuit = state.range(0) != 0;
+  const auto inst = instance(circuit ? 32 : 100);
+  core::HyCimConfig config;
+  config.filter_mode = core::FilterMode::kHardware;
+  config.fidelity =
+      circuit ? cim::VmvMode::kCircuit : cim::VmvMode::kQuantized;
+  const core::HyCimSolver proto(cop::to_constrained_form(inst), config);
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    core::HyCimSolver clone(proto, seed++);
+    benchmark::DoNotOptimize(clone.size());
+  }
+}
+BENCHMARK(BM_ChipClone)->Arg(0)->Arg(1);
 
 void BM_SwapIndexRebuild(benchmark::State& state) {
   // The pre-sampler SA move generator: rebuild the ones/zeros index lists

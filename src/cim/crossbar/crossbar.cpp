@@ -16,8 +16,7 @@ CrossbarArray::CrossbarArray(const CrossbarParams& params, std::size_t rows,
                              std::size_t cols,
                              std::span<const std::uint8_t> bits,
                              device::VariationModel& fab)
-    : params_(params), rows_(rows), cols_(cols),
-      bits_(bits.begin(), bits.end()) {
+    : params_(params), rows_(rows), cols_(cols) {
   if (bits.size() != rows * cols) {
     throw std::invalid_argument("CrossbarArray: bits size mismatch");
   }
@@ -30,34 +29,39 @@ CrossbarArray::CrossbarArray(const CrossbarParams& params, std::size_t rows,
   cell_params.r_series = params_.r_series;
   cell_params.v_dd = params_.v_dl;
 
+  auto block = std::make_shared<Programmed>();
+  block->bits.assign(bits.begin(), bits.end());
   auto devices = fab.fabricate(params_.fefet, rows * cols);
-  cells_.reserve(devices.size());
+  block->cells.reserve(devices.size());
   for (std::size_t k = 0; k < devices.size(); ++k) {
-    cells_.emplace_back(std::move(devices[k]), cell_params,
-                        fab.resistor_factor());
-    cells_.back().program(bits_[k] ? 1 : 0, fab.rng());
+    block->cells.emplace_back(std::move(devices[k]), cell_params,
+                              fab.resistor_factor());
+    block->cells.back().program(block->bits[k] ? 1 : 0, fab.rng());
   }
-  rebuild_cache();
+  install(std::move(block));
 }
 
-void CrossbarArray::rebuild_cache() {
-  cell_current_.assign(cells_.size(), 0.0);
-  leak_current_.assign(cells_.size(), 0.0);
-  for (std::size_t k = 0; k < cells_.size(); ++k) {
-    cell_current_[k] = cells_[k].current(v_read_, params_.v_dl);
-    leak_current_[k] = cells_[k].current(0.0, params_.v_dl);
+void CrossbarArray::install(std::shared_ptr<Programmed> block) {
+  const std::size_t cells = block->cells.size();
+  block->cell_current.assign(cells, 0.0);
+  block->leak_current.assign(cells, 0.0);
+  for (std::size_t k = 0; k < cells; ++k) {
+    block->cell_current[k] = block->cells[k].current(v_read_, params_.v_dl);
+    block->leak_current[k] = block->cells[k].current(0.0, params_.v_dl);
   }
-  cell_by_col_.assign(cells_.size(), 0.0);
-  leak_by_col_.assign(cells_.size(), 0.0);
-  toggle_current_.assign(cells_.size(), 0.0);
+  block->cell_by_col.assign(cells, 0.0);
+  block->leak_by_col.assign(cells, 0.0);
+  block->toggle_current.assign(cells, 0.0);
   for (std::size_t row = 0; row < rows_; ++row) {
     for (std::size_t col = 0; col < cols_; ++col) {
       const std::size_t k = row * cols_ + col;
-      cell_by_col_[col * rows_ + row] = cell_current_[k];
-      leak_by_col_[col * rows_ + row] = leak_current_[k];
-      toggle_current_[k] = cell_current_[k] - leak_current_[k];
+      block->cell_by_col[col * rows_ + row] = block->cell_current[k];
+      block->leak_by_col[col * rows_ + row] = block->leak_current[k];
+      block->toggle_current[k] =
+          block->cell_current[k] - block->leak_current[k];
     }
   }
+  programmed_ = std::move(block);
 }
 
 double CrossbarArray::column_current(std::span<const std::uint8_t> x_rows,
@@ -68,8 +72,8 @@ double CrossbarArray::column_current(std::span<const std::uint8_t> x_rows,
   // (never `leak + x·(on−leak)`, which would reassociate the float math)
   // so the sum is bit-identical to the strided row-major walk — the
   // accumulation order over rows is unchanged.
-  const double* on = cell_by_col_.data() + col * rows_;
-  const double* off = leak_by_col_.data() + col * rows_;
+  const double* on = programmed_->cell_by_col.data() + col * rows_;
+  const double* off = programmed_->leak_by_col.data() + col * rows_;
   double i = 0.0;
   for (std::size_t row = 0; row < rows_; ++row) {
     i += x_rows[row] ? on[row] : off[row];
@@ -78,11 +82,12 @@ double CrossbarArray::column_current(std::span<const std::uint8_t> x_rows,
 }
 
 double CrossbarArray::activated_cells_current(std::size_t count) const {
+  const Programmed& pg = *programmed_;
   double i = 0.0;
   std::size_t activated = 0;
-  for (std::size_t k = 0; k < cells_.size() && activated < count; ++k) {
-    if (bits_[k]) {
-      i += cell_current_[k];
+  for (std::size_t k = 0; k < pg.cells.size() && activated < count; ++k) {
+    if (pg.bits[k]) {
+      i += pg.cell_current[k];
       ++activated;
     }
   }
@@ -98,20 +103,28 @@ double CrossbarArray::nominal_cell_current() const {
   return params_.v_dl / (params_.r_series + rch);
 }
 
+// The two mutators program a private copy of the cells and install it, so
+// arrays sharing the old block keep their cells and caches untouched.
 void CrossbarArray::reprogram(util::Rng& rng) {
-  for (std::size_t k = 0; k < cells_.size(); ++k) {
-    cells_[k].program(bits_[k] ? 1 : 0, rng);
+  auto block = std::make_shared<Programmed>();
+  block->bits = programmed_->bits;
+  block->cells = programmed_->cells;
+  for (std::size_t k = 0; k < block->cells.size(); ++k) {
+    block->cells[k].program(block->bits[k] ? 1 : 0, rng);
   }
-  rebuild_cache();
+  install(std::move(block));
 }
 
 void CrossbarArray::age(double seconds) {
-  for (auto& cell : cells_) cell.age(seconds);
-  rebuild_cache();
+  auto block = std::make_shared<Programmed>();
+  block->bits = programmed_->bits;
+  block->cells = programmed_->cells;
+  for (auto& cell : block->cells) cell.age(seconds);
+  install(std::move(block));
 }
 
 std::uint8_t CrossbarArray::bit(std::size_t row, std::size_t col) const {
-  return bits_.at(row * cols_ + col);
+  return programmed_->bits.at(row * cols_ + col);
 }
 
 }  // namespace hycim::cim

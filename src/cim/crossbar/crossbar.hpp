@@ -10,9 +10,12 @@
 // accumulated down a column.  Per-cell currents (with all device variation
 // baked in) are cached after programming, so column evaluation is a sparse
 // sum — equivalent to, but much faster than, re-evaluating device models.
+// The programmed cells and those caches form one immutable block shared
+// by every copy of the array; reprogram() and age() build a private block.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -32,7 +35,8 @@ struct CrossbarParams {
   static device::FeFetParams binary_fefet();
 };
 
-/// A programmed binary crossbar.
+/// A programmed binary crossbar.  Copies share the programmed block, so a
+/// copy costs O(1) instead of O(rows · cols).
 class CrossbarArray {
  public:
   /// Fabricates an R×C array and programs `bits` (row-major R*C, 0/1).
@@ -54,7 +58,7 @@ class CrossbarArray {
   /// column's current by exactly this much, so cached column currents can
   /// be updated without re-summing the whole column.
   double row_toggle_delta(std::size_t row, std::size_t col) const {
-    return toggle_current_[row * cols_ + col];
+    return programmed_->toggle_current[row * cols_ + col];
   }
 
   /// Row `row` of the toggle deltas (ON − leak per column, contiguous,
@@ -62,7 +66,7 @@ class CrossbarArray {
   /// column's current by exactly toggle_row(k)[col], so the VMV engine's
   /// dense per-flip update is one contiguous fma pass over this row.
   const double* toggle_row(std::size_t row) const {
-    return toggle_current_.data() + row * cols_;
+    return programmed_->toggle_current.data() + row * cols_;
   }
 
   /// Current with `count` arbitrary cells of column 0..cols-1 activated —
@@ -74,10 +78,12 @@ class CrossbarArray {
   double nominal_cell_current() const;
 
   /// Re-programs every cell with fresh cycle-to-cycle noise (the Fig. 7(f)
-  /// erase-and-reprogram experiment).
+  /// erase-and-reprogram experiment).  Affects this array only; copies
+  /// keep their cells.
   void reprogram(util::Rng& rng);
 
   /// Ages every cell by `seconds` of retention time and refreshes caches.
+  /// Affects this array only.
   void age(double seconds);
 
   /// The stored bit at (row, col).
@@ -87,26 +93,34 @@ class CrossbarArray {
   double read_voltage() const { return v_read_; }
 
  private:
-  void rebuild_cache();
+  /// The stored bits, the programmed cells, and the current caches derived
+  /// from them.  Built once per programming and never mutated afterwards,
+  /// so copies share it.
+  struct Programmed {
+    std::vector<std::uint8_t> bits;      // row-major
+    std::vector<device::Cell1F1R> cells;  // row-major
+    std::vector<double> cell_current;     // cached ON current per cell [A]
+    std::vector<double> leak_current;     // cached OFF leakage per cell [A]
+    // Column-major mirrors of the two caches (col*rows + row): a column
+    // evaluation walks one contiguous stretch per cache instead of
+    // striding by cols, which is what lets column_current() auto-vectorize.
+    // Same doubles as the row-major caches, copied bit-for-bit.
+    std::vector<double> cell_by_col;
+    std::vector<double> leak_by_col;
+    // ON − leak per cell, row-major — the precomputed row_toggle_delta (the
+    // subtraction is done once at cache build; the difference of the same
+    // two doubles is the same double every time).
+    std::vector<double> toggle_current;
+  };
+
+  /// Derives `block`'s current caches from its cells and installs it.
+  void install(std::shared_ptr<Programmed> block);
 
   CrossbarParams params_;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<std::uint8_t> bits_;
-  std::vector<device::Cell1F1R> cells_;   // row-major
-  std::vector<double> cell_current_;      // cached ON current per cell [A]
-  std::vector<double> leak_current_;      // cached OFF leakage per cell [A]
-  // Column-major mirrors of the two caches (col*rows + row): a column
-  // evaluation walks one contiguous stretch per cache instead of striding
-  // by cols_, which is what lets column_current() auto-vectorize.  Same
-  // doubles as the row-major caches, copied bit-for-bit by rebuild_cache.
-  std::vector<double> cell_by_col_;
-  std::vector<double> leak_by_col_;
-  // ON − leak per cell, row-major — the precomputed row_toggle_delta (the
-  // subtraction is done once at cache build; the difference of the same
-  // two doubles is the same double every time).
-  std::vector<double> toggle_current_;
   double v_read_ = 0.0;
+  std::shared_ptr<const Programmed> programmed_;
 };
 
 }  // namespace hycim::cim

@@ -9,58 +9,63 @@ namespace hycim::cim {
 VmvEngine::VmvEngine(const VmvEngineParams& params, const qubo::QuboMatrix& q)
     : params_(params),
       n_(q.size()),
-      original_(q),
-      quantized_(quantize(q, params.matrix_bits)),
       reprogram_rng_(params.fab_seed ^ 0x5bd1e995ULL) {
+  auto mapping = std::make_shared<Mapping>();
+  mapping->original = q;
+  mapping->quantized = quantize(q, params.matrix_bits);
+  const QuantizedQubo& quantized = mapping->quantized;
   // Resolve the bound-state kernel from the density of the matrix the
   // hardware actually stores (zeros can only grow under quantization).
   std::size_t nnz = 0;
-  for (const long long v : quantized_.values) {
+  for (const long long v : quantized.values) {
     if (v != 0) ++nnz;
   }
   const double density =
-      quantized_.values.empty()
+      quantized.values.empty()
           ? 0.0
           : static_cast<double>(nnz) /
-                static_cast<double>(quantized_.values.size());
+                static_cast<double>(quantized.values.size());
   kernel_ = qubo::resolve_kernel(params_.kernel, density);
 
-  if (params_.mode != VmvMode::kCircuit) return;
-
-  if (kernel_ == qubo::Kernel::kSparse) {
+  if (params_.mode == VmvMode::kCircuit &&
+      kernel_ == qubo::Kernel::kSparse) {
     // CSR of upper-triangle structural neighbors: row k lists the columns
     // j >= k holding a nonzero quantized value — exactly the cells whose
     // row-toggle delta is a real ON-vs-leak swing rather than a sub-LSB
     // leakage shift.  (Columns j < k store bit 0 at row k by the
     // upper-triangular mapping of Fig. 6(a).)
-    sp_offsets_.assign(n_ + 1, 0);
+    auto& offsets = mapping->sp_offsets;
+    auto& cols = mapping->sp_cols;
+    offsets.assign(n_ + 1, 0);
     for (std::size_t k = 0; k < n_; ++k) {
       for (std::size_t j = k; j < n_; ++j) {
-        if (quantized_.at(k, j) != 0) ++sp_offsets_[k + 1];
+        if (quantized.at(k, j) != 0) ++offsets[k + 1];
       }
     }
-    for (std::size_t k = 0; k < n_; ++k) sp_offsets_[k + 1] += sp_offsets_[k];
-    sp_cols_.resize(sp_offsets_[n_]);
+    for (std::size_t k = 0; k < n_; ++k) offsets[k + 1] += offsets[k];
+    cols.resize(offsets[n_]);
     std::size_t cursor = 0;
     for (std::size_t k = 0; k < n_; ++k) {
       for (std::size_t j = k; j < n_; ++j) {
-        if (quantized_.at(k, j) != 0) {
-          sp_cols_[cursor++] = static_cast<std::uint32_t>(j);
+        if (quantized.at(k, j) != 0) {
+          cols[cursor++] = static_cast<std::uint32_t>(j);
         }
       }
     }
   }
+  mapping_ = std::move(mapping);
+  if (params_.mode != VmvMode::kCircuit) return;
 
   fab_ = std::make_unique<device::VariationModel>(params_.variation,
                                                   params_.fab_seed);
   // Calibrate the ADC LSB to the nominal cell current once the corner is
   // known; build one positive and one negative crossbar per magnitude bit.
   AdcParams adc = params_.adc;
-  for (int b = 0; b < quantized_.magnitude_bits; ++b) {
+  for (int b = 0; b < quantized.magnitude_bits; ++b) {
     pos_planes_.emplace_back(params_.crossbar, n_, n_,
-                             bit_plane(quantized_, b, +1), *fab_);
+                             bit_plane(quantized, b, +1), *fab_);
     neg_planes_.emplace_back(params_.crossbar, n_, n_,
-                             bit_plane(quantized_, b, -1), *fab_);
+                             bit_plane(quantized, b, -1), *fab_);
   }
   if (!pos_planes_.empty()) {
     adc.i_lsb = pos_planes_.front().nominal_cell_current();
@@ -75,8 +80,7 @@ VmvEngine& VmvEngine::operator=(VmvEngine&&) noexcept = default;
 VmvEngine::VmvEngine(const VmvEngine& other)
     : params_(other.params_),
       n_(other.n_),
-      original_(other.original_),
-      quantized_(other.quantized_),
+      mapping_(other.mapping_),
       pos_planes_(other.pos_planes_),
       neg_planes_(other.neg_planes_),
       fab_(other.fab_
@@ -93,8 +97,6 @@ VmvEngine::VmvEngine(const VmvEngine& other)
       trial_acc_(other.trial_acc_),
       trial_valid_(other.trial_valid_),
       kernel_(other.kernel_),
-      sp_offsets_(other.sp_offsets_),
-      sp_cols_(other.sp_cols_),
       col_acc_(other.col_acc_),
       trial_cols_(other.trial_cols_),
       trial_col_codes_(other.trial_col_codes_) {}
@@ -103,9 +105,9 @@ double VmvEngine::energy(std::span<const std::uint8_t> x) {
   if (x.size() != n_) throw std::invalid_argument("VmvEngine::energy: size");
   switch (params_.mode) {
     case VmvMode::kIdeal:
-      return original_.energy(x);
+      return mapping_->original.energy(x);
     case VmvMode::kQuantized:
-      return quantized_.energy(x);
+      return mapping_->quantized.energy(x);
     case VmvMode::kCircuit:
       return circuit_energy(x);
   }
@@ -121,7 +123,7 @@ long long VmvEngine::convert_columns(std::span<const std::uint8_t> x,
   // paths convert in this exact order, so the ADC noise stream (and the
   // clip counter) advance identically on either path.
   long long acc = 0;
-  const int bits = quantized_.magnitude_bits;
+  const int bits = magnitude_bits();
   for (std::size_t j = 0; j < n_; ++j) {
     if (!x[j]) continue;
     for (int b = 0; b < bits; ++b) {
@@ -136,13 +138,13 @@ long long VmvEngine::convert_columns(std::span<const std::uint8_t> x,
 }
 
 double VmvEngine::circuit_energy(std::span<const std::uint8_t> x) {
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   const long long acc =
       convert_columns(x, [&](std::size_t p, std::size_t j) {
         return p < bits ? pos_planes_[p].column_current(x, j)
                         : neg_planes_[p - bits].column_current(x, j);
       });
-  return static_cast<double>(acc) * quantized_.scale + quantized_.offset;
+  return decode(acc);
 }
 
 void VmvEngine::bind(std::span<const std::uint8_t> x) {
@@ -167,7 +169,7 @@ void VmvEngine::reconvert_all_columns() {
   // Same conversion order as convert_columns (ascending selected column,
   // per-plane pos then neg), so bind() digitizes identically under either
   // kernel; additionally records each column's own shift-added code.
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   col_acc_.assign(n_, 0);
   long long acc = 0;
   for (std::size_t j = 0; j < n_; ++j) {
@@ -186,14 +188,15 @@ void VmvEngine::reconvert_all_columns() {
 }
 
 void VmvEngine::collect_affected(std::span<const std::size_t> flips) {
+  const Mapping& m = *mapping_;
   affected_.clear();
   for (const std::size_t k : flips) {
     if (k >= n_) {
       throw std::invalid_argument("VmvEngine: bit out of range");
     }
     affected_.push_back(k);
-    for (std::size_t e = sp_offsets_[k]; e < sp_offsets_[k + 1]; ++e) {
-      affected_.push_back(sp_cols_[e]);
+    for (std::size_t e = m.sp_offsets[k]; e < m.sp_offsets[k + 1]; ++e) {
+      affected_.push_back(m.sp_cols[e]);
     }
   }
   std::sort(affected_.begin(), affected_.end());
@@ -202,7 +205,8 @@ void VmvEngine::collect_affected(std::span<const std::size_t> flips) {
 }
 
 double VmvEngine::trial_sparse(std::span<const std::size_t> flips) {
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const QuantizedQubo& quantized = mapping_->quantized;
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   collect_affected(flips);
   long long acc = bound_acc_;
   trial_col_codes_.clear();
@@ -218,7 +222,7 @@ double VmvEngine::trial_sparse(std::span<const std::size_t> flips) {
         double pos = currents_[b * n_ + j];
         double neg = currents_[(bits + b) * n_ + j];
         for (const std::size_t k : flips) {
-          if (k > j || quantized_.at(k, j) == 0) continue;
+          if (k > j || quantized.at(k, j) == 0) continue;
           const double sign = bound_x_[k] ? -1.0 : 1.0;
           pos += sign * pos_planes_[b].row_toggle_delta(k, j);
           neg += sign * neg_planes_[b].row_toggle_delta(k, j);
@@ -233,11 +237,12 @@ double VmvEngine::trial_sparse(std::span<const std::size_t> flips) {
   trial_flips_.assign(flips.begin(), flips.end());
   trial_acc_ = acc;
   trial_valid_ = true;
-  return static_cast<double>(acc) * quantized_.scale + quantized_.offset;
+  return decode(acc);
 }
 
 void VmvEngine::apply_sparse(std::span<const std::size_t> flips) {
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const Mapping& m = *mapping_;
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   const bool adopt_trial =
       trial_valid_ && std::equal(flips.begin(), flips.end(),
                                  trial_flips_.begin(), trial_flips_.end());
@@ -248,8 +253,8 @@ void VmvEngine::apply_sparse(std::span<const std::size_t> flips) {
       throw std::invalid_argument("VmvEngine::apply: bit out of range");
     }
     const double sign = bound_x_[k] ? -1.0 : 1.0;
-    for (std::size_t e = sp_offsets_[k]; e < sp_offsets_[k + 1]; ++e) {
-      const std::size_t j = sp_cols_[e];
+    for (std::size_t e = m.sp_offsets[k]; e < m.sp_offsets[k + 1]; ++e) {
+      const std::size_t j = m.sp_cols[e];
       for (std::size_t b = 0; b < bits; ++b) {
         currents_[b * n_ + j] += sign * pos_planes_[b].row_toggle_delta(k, j);
         currents_[(bits + b) * n_ + j] +=
@@ -292,7 +297,7 @@ void VmvEngine::apply_sparse(std::span<const std::size_t> flips) {
 }
 
 void VmvEngine::rebuild_bound_currents() {
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   currents_.resize(2 * bits * n_);
   for (std::size_t p = 0; p < bits; ++p) {
     for (std::size_t j = 0; j < n_; ++j) {
@@ -313,8 +318,7 @@ void VmvEngine::unbind() {
 
 double VmvEngine::bound_energy() const {
   if (!bound_) throw std::logic_error("VmvEngine::bound_energy: not bound");
-  return static_cast<double>(bound_acc_) * quantized_.scale +
-         quantized_.offset;
+  return decode(bound_acc_);
 }
 
 const std::vector<std::uint8_t>& VmvEngine::bound_input() const {
@@ -325,7 +329,7 @@ const std::vector<std::uint8_t>& VmvEngine::bound_input() const {
 double VmvEngine::trial(std::span<const std::size_t> flips) {
   if (!bound_) throw std::logic_error("VmvEngine::trial: not bound");
   if (kernel_ == qubo::Kernel::kSparse) return trial_sparse(flips);
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   trial_x_.assign(bound_x_.begin(), bound_x_.end());
   for (const std::size_t k : flips) {
     if (k >= n_) {
@@ -347,7 +351,7 @@ double VmvEngine::trial(std::span<const std::size_t> flips) {
   trial_flips_.assign(flips.begin(), flips.end());
   trial_acc_ = acc;
   trial_valid_ = true;
-  return static_cast<double>(acc) * quantized_.scale + quantized_.offset;
+  return decode(acc);
 }
 
 void VmvEngine::apply(std::span<const std::size_t> flips) {
@@ -356,7 +360,7 @@ void VmvEngine::apply(std::span<const std::size_t> flips) {
     apply_sparse(flips);
     return;
   }
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   const bool adopt_trial =
       trial_valid_ && std::equal(flips.begin(), flips.end(),
                                  trial_flips_.begin(), trial_flips_.end());

@@ -65,10 +65,13 @@ class VmvEngine {
   VmvEngine(VmvEngine&&) noexcept;
   VmvEngine& operator=(VmvEngine&&) noexcept;
 
-  /// Deep copy: duplicates the fabricated crossbars, ADC, and bound state.
-  /// A copy behaves exactly like re-fabricating with the same seeds, minus
-  /// the fabrication cost — the "program once, solve many" hook for batch
-  /// protocols.
+  /// Copy: shares the mapped matrices and the crossbars' programmed cells
+  /// and current caches (see CrossbarArray), and duplicates the ADC with
+  /// its noise stream, the reprogramming stream, and the bound state —
+  /// O(columns), not O(cells).  A copy
+  /// behaves exactly like re-fabricating with the same seeds, minus the
+  /// fabrication cost — the "program once, solve many" hook for batch
+  /// protocols — and its reprogram() never reaches the original.
   VmvEngine(const VmvEngine& other);
 
   /// QUBO energy of configuration `x` at the configured fidelity
@@ -114,10 +117,10 @@ class VmvEngine {
   std::size_t size() const { return n_; }
 
   /// The quantized matrix actually mapped to the hardware.
-  const QuantizedQubo& quantized() const { return quantized_; }
+  const QuantizedQubo& quantized() const { return mapping_->quantized; }
 
   /// Magnitude bits per element stored in the crossbars.
-  int magnitude_bits() const { return quantized_.magnitude_bits; }
+  int magnitude_bits() const { return mapping_->quantized.magnitude_bits; }
 
   /// The resolved bound-state kernel (kDense or kSparse, never kAuto).
   qubo::Kernel kernel() const { return kernel_; }
@@ -133,6 +136,11 @@ class VmvEngine {
 
  private:
   double circuit_energy(std::span<const std::uint8_t> x);
+  /// Original-matrix energy of a shift-added code sum.
+  double decode(long long acc) const {
+    return static_cast<double>(acc) * mapping_->quantized.scale +
+           mapping_->quantized.offset;
+  }
   void rebuild_bound_currents();
   /// Sparse kernel: (re)digitizes every selected column from the cached
   /// currents, refreshing col_acc_ and bound_acc_ (same conversion order
@@ -151,10 +159,20 @@ class VmvEngine {
   long long convert_columns(std::span<const std::uint8_t> x,
                             CurrentFn&& current_of);
 
+  /// The matrices the engine maps and what is derived from them alone:
+  /// immutable once built, so copies share it.  The sparse kernel's CSR of
+  /// upper-triangle structural neighbors (per row k: columns j >= k with
+  /// quantized value != 0) is built in kCircuit mode only.
+  struct Mapping {
+    qubo::QuboMatrix original;
+    QuantizedQubo quantized;
+    std::vector<std::size_t> sp_offsets;
+    std::vector<std::uint32_t> sp_cols;
+  };
+
   VmvEngineParams params_;
   std::size_t n_ = 0;
-  qubo::QuboMatrix original_;
-  QuantizedQubo quantized_;
+  std::shared_ptr<const Mapping> mapping_;
   std::vector<CrossbarArray> pos_planes_;  // one crossbar per magnitude bit
   std::vector<CrossbarArray> neg_planes_;
   std::unique_ptr<device::VariationModel> fab_;
@@ -172,14 +190,11 @@ class VmvEngine {
   long long trial_acc_ = 0;
   bool trial_valid_ = false;
   std::vector<std::uint8_t> trial_x_;  // scratch candidate configuration
-  // Sparse-kernel state: resolved kernel, CSR of upper-triangle structural
-  // neighbors (per row k: columns j >= k with quantized value != 0),
-  // cached per-column shift-added codes of the bound state (0 when the
-  // column is unselected), and the memoized per-column codes of the last
-  // trial so apply() can adopt them without reconverting.
+  // Sparse-kernel state: resolved kernel, cached per-column shift-added
+  // codes of the bound state (0 when the column is unselected), and the
+  // memoized per-column codes of the last trial so apply() can adopt them
+  // without reconverting.
   qubo::Kernel kernel_ = qubo::Kernel::kDense;
-  std::vector<std::size_t> sp_offsets_;
-  std::vector<std::uint32_t> sp_cols_;
   std::vector<long long> col_acc_;
   std::vector<std::size_t> affected_;        // scratch
   std::vector<std::size_t> trial_cols_;      // memo: affected set

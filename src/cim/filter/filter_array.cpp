@@ -19,13 +19,14 @@ FilterArray::FilterArray(const FilterArrayParams& params,
   cell_params.v_dd = params_.v_dd;
 
   auto devices = fab.fabricate(params_.fefet, params_.rows * columns_);
-  cells_.reserve(devices.size());
+  auto block = std::make_shared<Programmed>();
+  block->cells.reserve(devices.size());
   for (std::size_t row = 0; row < params_.rows; ++row) {
     for (std::size_t col = 0; col < columns_; ++col) {
       const std::size_t flat = row * columns_ + col;
-      cells_.emplace_back(std::move(devices[flat]), cell_params,
-                          fab.resistor_factor());
-      cells_.back().program(levels[col][row], fab.rng());
+      block->cells.emplace_back(std::move(devices[flat]), cell_params,
+                                fab.resistor_factor());
+      block->cells.back().program(levels[col][row], fab.rng());
     }
   }
   // Ascending staircase: phase 0 applies Vread_(L-1) (lowest amplitude,
@@ -33,27 +34,28 @@ FilterArray::FilterArray(const FilterArrayParams& params,
   for (int j = params_.fefet.num_levels - 1; j >= 1; --j) {
     read_voltages_.push_back(device::FeFet::read_voltage(params_.fefet, j));
   }
-  rebuild_cache();
+  install(std::move(block));
 }
 
-void FilterArray::rebuild_cache() {
+void FilterArray::install(std::shared_ptr<Programmed> block) {
   const std::size_t phases = read_voltages_.size();
-  g_cache_.assign(phases, std::vector<double>(columns_, 0.0));
-  isat_cache_.assign(phases, std::vector<double>(columns_, 0.0));
-  isat_idle_.assign(columns_, 0.0);
-  isat_idle_total_ = 0.0;
+  block->g_cache.assign(phases, std::vector<double>(columns_, 0.0));
+  block->isat_cache.assign(phases, std::vector<double>(columns_, 0.0));
+  block->isat_idle.assign(columns_, 0.0);
+  block->isat_idle_total = 0.0;
   for (std::size_t col = 0; col < columns_; ++col) {
     for (std::size_t row = 0; row < params_.rows; ++row) {
-      const auto& cell = cells_[row * columns_ + col];
+      const auto& cell = block->cells[row * columns_ + col];
       for (std::size_t p = 0; p < phases; ++p) {
         const double vg = read_voltages_[p];
-        g_cache_[p][col] += cell.conductance(vg);
-        isat_cache_[p][col] += cell.sat_current(vg);
+        block->g_cache[p][col] += cell.conductance(vg);
+        block->isat_cache[p][col] += cell.sat_current(vg);
       }
-      isat_idle_[col] += cell.sat_current(0.0);
+      block->isat_idle[col] += cell.sat_current(0.0);
     }
-    isat_idle_total_ += isat_idle_[col];
+    block->isat_idle_total += block->isat_idle[col];
   }
+  programmed_ = std::move(block);
   // Device state changed (program / age): re-aggregate any bound state so
   // the cached loads reflect the fresh per-column caches.
   if (bound_) rebuild_bound();
@@ -69,6 +71,7 @@ void FilterArray::bind(std::span<const std::uint8_t> x) {
 }
 
 void FilterArray::rebuild_bound() {
+  const Programmed& pg = *programmed_;
   const std::size_t phases = read_voltages_.size();
   bound_g_.assign(phases, 0.0);
   bound_isink_.assign(phases, 0.0);
@@ -76,11 +79,11 @@ void FilterArray::rebuild_bound() {
   // ascending order — bound_voltage() is bit-identical to evaluate().
   for (std::size_t p = 0; p < phases; ++p) {
     double g = 0.0;
-    double i_sink = isat_idle_total_;
+    double i_sink = pg.isat_idle_total;
     for (std::size_t col = 0; col < columns_; ++col) {
       if (!bound_x_[col]) continue;
-      g += g_cache_[p][col];
-      i_sink += isat_cache_[p][col] - isat_idle_[col];
+      g += pg.g_cache[p][col];
+      i_sink += pg.isat_cache[p][col] - pg.isat_idle[col];
     }
     bound_g_[p] = g;
     bound_isink_[p] = i_sink;
@@ -107,6 +110,7 @@ double FilterArray::bound_voltage() const {
 
 double FilterArray::trial(std::span<const std::size_t> flips) const {
   if (!bound_) throw std::logic_error("FilterArray::trial: not bound");
+  const Programmed& pg = *programmed_;
   const std::size_t phases = read_voltages_.size();
   trial_g_.assign(bound_g_.begin(), bound_g_.end());
   trial_isink_.assign(bound_isink_.begin(), bound_isink_.end());
@@ -116,8 +120,8 @@ double FilterArray::trial(std::span<const std::size_t> flips) const {
     }
     const double sign = bound_x_[col] ? -1.0 : 1.0;
     for (std::size_t p = 0; p < phases; ++p) {
-      trial_g_[p] += sign * g_cache_[p][col];
-      trial_isink_[p] += sign * (isat_cache_[p][col] - isat_idle_[col]);
+      trial_g_[p] += sign * pg.g_cache[p][col];
+      trial_isink_[p] += sign * (pg.isat_cache[p][col] - pg.isat_idle[col]);
     }
   }
   return settle(trial_g_, trial_isink_);
@@ -125,6 +129,7 @@ double FilterArray::trial(std::span<const std::size_t> flips) const {
 
 void FilterArray::apply(std::span<const std::size_t> flips) {
   if (!bound_) throw std::logic_error("FilterArray::apply: not bound");
+  const Programmed& pg = *programmed_;
   const std::size_t phases = read_voltages_.size();
   for (const std::size_t col : flips) {
     if (col >= columns_) {
@@ -132,8 +137,8 @@ void FilterArray::apply(std::span<const std::size_t> flips) {
     }
     const double sign = bound_x_[col] ? -1.0 : 1.0;
     for (std::size_t p = 0; p < phases; ++p) {
-      bound_g_[p] += sign * g_cache_[p][col];
-      bound_isink_[p] += sign * (isat_cache_[p][col] - isat_idle_[col]);
+      bound_g_[p] += sign * pg.g_cache[p][col];
+      bound_isink_[p] += sign * (pg.isat_cache[p][col] - pg.isat_idle[col]);
     }
     bound_x_[col] ^= 1;
   }
@@ -178,14 +183,15 @@ double FilterArray::run(std::span<const std::uint8_t> x,
   // Aggregate each phase's linear conductance and current-sink loads, then
   // settle the transient — the same closed form the bound-state trial path
   // evaluates, so the two paths cannot diverge.
-  const std::size_t phases = g_cache_.size();
+  const Programmed& pg = *programmed_;
+  const std::size_t phases = read_voltages_.size();
   trial_g_.assign(phases, 0.0);
-  trial_isink_.assign(phases, isat_idle_total_);  // unselected leak at VG = 0
+  trial_isink_.assign(phases, pg.isat_idle_total);  // unselected leak, VG = 0
   for (std::size_t p = 0; p < phases; ++p) {
     for (std::size_t col = 0; col < columns_; ++col) {
       if (!x[col]) continue;
-      trial_g_[p] += g_cache_[p][col];
-      trial_isink_[p] += isat_cache_[p][col] - isat_idle_[col];
+      trial_g_[p] += pg.g_cache[p][col];
+      trial_isink_[p] += pg.isat_cache[p][col] - pg.isat_idle[col];
     }
   }
   if (!waveform) return settle(trial_g_, trial_isink_);
@@ -215,20 +221,24 @@ double FilterArray::run(std::span<const std::uint8_t> x,
   return v_ml;
 }
 
+// The two mutators program a private copy of the cells and install it, so
+// arrays sharing the old block keep their cells and caches untouched.
 void FilterArray::reprogram(util::Rng& rng) {
-  for (auto& cell : cells_) {
-    cell.program(cell.level(), rng);
-  }
-  rebuild_cache();
+  auto block = std::make_shared<Programmed>();
+  block->cells = programmed_->cells;
+  for (auto& cell : block->cells) cell.program(cell.level(), rng);
+  install(std::move(block));
 }
 
 void FilterArray::age(double seconds) {
-  for (auto& cell : cells_) cell.age(seconds);
-  rebuild_cache();
+  auto block = std::make_shared<Programmed>();
+  block->cells = programmed_->cells;
+  for (auto& cell : block->cells) cell.age(seconds);
+  install(std::move(block));
 }
 
 int FilterArray::cell_level(std::size_t row, std::size_t col) const {
-  return cells_.at(row * columns_ + col).level();
+  return programmed_->cells.at(row * columns_ + col).level();
 }
 
 long long FilterArray::column_weight(std::size_t col) const {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -51,6 +52,12 @@ struct MlSample {
 };
 
 /// A programmed m×n filter array with a shared matchline.
+///
+/// The programmed cells and the per-phase column loads derived from them
+/// live in one immutable block that copies share: a copy duplicates only
+/// the bound state and the evaluation scratch, O(columns), never the
+/// O(rows · columns) cells.  reprogram() and age() build a private block
+/// before changing anything, so they never reach another copy.
 class FilterArray {
  public:
   /// Fabricates and programs the array for `weights` (one column per item).
@@ -108,10 +115,11 @@ class FilterArray {
 
   /// Re-programs every cell (erase + write), drawing fresh cycle-to-cycle
   /// noise — models the paper's Fig. 7(f) erase/reprogram experiments.
+  /// Affects this array only; copies keep their cells.
   void reprogram(util::Rng& rng);
 
   /// Ages every cell by `seconds` of retention time (Vth drift) and
-  /// refreshes the conductance caches.
+  /// refreshes the conductance caches.  Affects this array only.
   void age(double seconds);
 
   /// Stored level of the cell at (row, column) — for tests.
@@ -131,9 +139,23 @@ class FilterArray {
   const FilterArrayParams& params() const { return params_; }
 
  private:
+  /// The programmed cells and everything derived from them.  Built once per
+  /// programming and never mutated afterwards, so copies share it.
+  struct Programmed {
+    std::vector<device::Cell1F1R> cells;  // row-major [row * columns + col]
+    // Per phase p and column c: summed ON conductance and OFF sink current
+    // of the column's cells at that phase's gate voltage.
+    std::vector<std::vector<double>> g_cache;     // [phase][col]
+    std::vector<std::vector<double>> isat_cache;  // [phase][col]
+    std::vector<double> isat_idle;  // per-column sink current at VG = 0
+    double isat_idle_total = 0.0;
+  };
+
   double run(std::span<const std::uint8_t> x, std::vector<MlSample>* waveform,
              int samples_per_phase) const;
-  void rebuild_cache();
+  /// Derives `block`'s conductance caches from its cells, installs it as
+  /// this array's programmed state, and re-aggregates any bound state.
+  void install(std::shared_ptr<Programmed> block);
   void rebuild_bound();
   /// Final ML voltage of the staircase read given per-phase aggregate
   /// conductance and sink-current loads — the same closed-form transient
@@ -143,14 +165,8 @@ class FilterArray {
 
   FilterArrayParams params_;
   std::size_t columns_ = 0;
-  std::vector<device::Cell1F1R> cells_;  // row-major [row * columns + col]
-  std::vector<double> read_voltages_;    // ascending phase amplitudes
-  // Per phase p and column c: summed ON conductance and OFF sink current of
-  // the column's cells at that phase's gate voltage.
-  std::vector<std::vector<double>> g_cache_;     // [phase][col]
-  std::vector<std::vector<double>> isat_cache_;  // [phase][col]
-  std::vector<double> isat_idle_;  // per-column sink current at VG = 0
-  double isat_idle_total_ = 0.0;
+  std::vector<double> read_voltages_;  // ascending phase amplitudes
+  std::shared_ptr<const Programmed> programmed_;
   // Bound state: per-phase aggregate loads of bound_x_ plus trial scratch.
   bool bound_ = false;
   std::vector<std::uint8_t> bound_x_;

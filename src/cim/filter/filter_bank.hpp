@@ -61,8 +61,8 @@ class FilterBank {
              const std::vector<LinearConstraint>& constraints,
              std::size_t variables);
 
-  /// "Same chip, fresh measurement" duplicate of `proto`: copies every
-  /// fabricated filter and restarts the per-filter comparator noise
+  /// "Same chip, fresh measurement" duplicate of `proto`: clones every
+  /// fabricated filter (sharing its programmed arrays) and restarts the per-filter comparator noise
   /// streams from fork_seed(decision_seed, i) — the same derivation the
   /// fabricating constructor applies — so a clone is bit-identical to a
   /// refabrication with that decision_seed.  0 keeps the fab-derived

@@ -61,13 +61,14 @@ class InequalityFilter {
   InequalityFilter(const InequalityFilterParams& params,
                    const std::vector<long long>& weights, long long capacity);
 
-  /// "Same chip, fresh measurement": duplicates `proto`'s fabricated
-  /// arrays and comparator offset (bit-identical to refabricating with the
-  /// same fab_seed, at the cost of a copy instead of a device-by-device
-  /// fabrication), zeroes the statistics, and restarts the comparator's
-  /// per-decision noise stream from `decision_seed` (0 = the fab-derived
-  /// default stream).  This is what lets batch protocols run N independent
-  /// measurements on one programmed chip without N fabrications.
+  /// "Same chip, fresh measurement": shares `proto`'s programmed arrays
+  /// (see FilterArray), copies its comparator offset (bit-identical to
+  /// refabricating with the same fab_seed, at O(columns) cost instead of a
+  /// device-by-device fabrication), zeroes the statistics, and restarts the
+  /// comparator's per-decision noise stream from `decision_seed` (0 = the
+  /// fab-derived default stream).  This is what lets batch protocols run N
+  /// independent measurements on one programmed chip without N
+  /// fabrications.
   InequalityFilter(const InequalityFilter& proto, std::uint64_t decision_seed);
 
   ~InequalityFilter();

@@ -30,11 +30,14 @@ constexpr std::string_view kKindOf<MaxCutInstance> = "maxcut";
 
 // --- Registry entries ----------------------------------------------------
 // One lower_entry() overload per variant alternative: the lowering, the
-// feasible-x0 generator, and the problem-level scorer, bundled.  Closures
+// feasible-x0 generator, and the problem-level scorer, bundled.  Kinds with
+// a validator run it first, so a malformed instance throws
+// std::invalid_argument here instead of lowering garbage.  Closures
 // share the instance through a shared_ptr so the bundle owns everything it
 // needs (async submissions outlive the request object).
 
 LoweredProblem lower_entry(const QkpInstance& instance) {
+  instance.validate();
   auto inst = std::make_shared<const QkpInstance>(instance);
   LoweredProblem out;
   out.kind = kKindOf<QkpInstance>;
@@ -53,6 +56,7 @@ LoweredProblem lower_entry(const QkpInstance& instance) {
 }
 
 LoweredProblem lower_entry(const MdkpInstance& instance) {
+  instance.validate();
   auto inst = std::make_shared<const MdkpInstance>(instance);
   LoweredProblem out;
   out.kind = kKindOf<MdkpInstance>;
@@ -125,6 +129,7 @@ LoweredProblem lower_entry(const ColoringInstance& instance) {
 }
 
 LoweredProblem lower_entry(const MaxCutInstance& instance) {
+  instance.validate();
   auto inst = std::make_shared<const MaxCutInstance>(instance);
   LoweredProblem out;
   out.kind = kKindOf<MaxCutInstance>;

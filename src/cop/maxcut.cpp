@@ -1,6 +1,7 @@
 #include "cop/maxcut.hpp"
 
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 namespace hycim::cop {
@@ -20,6 +21,9 @@ void MaxCutInstance::validate() const {
       throw std::invalid_argument("MaxCut: edge endpoint out of range");
     }
     if (e.u == e.v) throw std::invalid_argument("MaxCut: self loop");
+    if (!std::isfinite(e.weight)) {
+      throw std::invalid_argument("MaxCut: non-finite edge weight");
+    }
   }
 }
 

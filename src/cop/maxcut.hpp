@@ -29,7 +29,8 @@ struct MaxCutInstance {
   /// Total weight of edges crossing the partition encoded by x (x[i] is the
   /// side of vertex i).
   double cut_value(std::span<const std::uint8_t> x) const;
-  /// Validates vertex indices; throws on out-of-range endpoints/self-loops.
+  /// Validates the edges; throws on out-of-range endpoints, self-loops and
+  /// non-finite weights.
   void validate() const;
 };
 

@@ -35,22 +35,19 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
  public:
   explicit Problem(HyCimSolver& owner)
       : owner_(owner),
-        eval_(owner.eval_matrix_,
-              qubo::BitVector(owner.eval_matrix_.size(), 0),
-              owner.resolved_kernel_),
-        totals_(owner.form_.constraints.size(), 0),
-        eq_totals_(owner.form_.equalities.size(), 0) {}
+        totals_(owner.form().constraints.size(), 0),
+        eq_totals_(owner.form().equalities.size(), 0) {}
 
-  std::size_t num_bits() const override { return owner_.form_.size(); }
+  std::size_t num_bits() const override { return owner_.form().size(); }
 
   double reset(const qubo::BitVector& x) override {
-    const auto& cs = owner_.form_.constraints;
+    const auto& cs = owner_.form().constraints;
     violated_ = 0;
     for (std::size_t c = 0; c < cs.size(); ++c) {
       totals_[c] = constraint_total(cs[c], x);
       if (totals_[c] > cs[c].capacity) ++violated_;
     }
-    const auto& es = owner_.form_.equalities;
+    const auto& es = owner_.form().equalities;
     eq_violated_ = 0;
     for (std::size_t c = 0; c < es.size(); ++c) {
       eq_totals_[c] = constraint_total(es[c], x);
@@ -66,20 +63,26 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
       owner_.engine_->bind(x);
       return owner_.engine_->bound_energy();
     }
-    eval_.reset(x);
-    return eval_.energy();
+    // The evaluator is built from the first start state, not from zeros
+    // and then reset; later resets rebuild its fields in place.
+    if (eval_) {
+      eval_->reset(x);
+    } else {
+      eval_.emplace(owner_.lowered_->eval_matrix, x, owner_.resolved_kernel_);
+    }
+    return eval_->energy();
   }
 
   bool trial_feasible(const anneal::Move& m) override {
     const auto flips = m.indices();
     if (owner_.config_.filter_mode == FilterMode::kSoftware) {
       const auto& x = state();
-      const auto& cs = owner_.form_.constraints;
+      const auto& cs = owner_.form().constraints;
       // Only the constraints whose rows contain a flipped bit can change;
       // an untouched satisfied constraint stays satisfied, an untouched
       // violated one stays violated (counted below) — exactly the dense
       // all-constraints scan's verdict at O(incidence) cost.
-      gather_touched(owner_.ineq_by_var_, flips);
+      gather_touched(owner_.lowered_->ineq_by_var, flips);
       std::size_t were_violated = 0;
       for (const std::uint32_t c : touched_ids_) {
         long long t = totals_[c];
@@ -90,8 +93,8 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
         if (totals_[c] > cs[c].capacity) ++were_violated;
       }
       if (violated_ > were_violated) return false;
-      const auto& es = owner_.form_.equalities;
-      gather_touched(owner_.eq_by_var_, flips);
+      const auto& es = owner_.form().equalities;
+      gather_touched(owner_.lowered_->eq_by_var, flips);
       were_violated = 0;
       for (const std::uint32_t c : touched_ids_) {
         long long t = eq_totals_[c];
@@ -123,8 +126,8 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
     if (circuit()) {
       d = owner_.engine_->trial(flips) - owner_.engine_->bound_energy();
     } else {
-      d = m.is_swap() ? eval_.delta_pair(m.bits[0], m.bits[1])
-                      : eval_.delta(m.bits[0]);
+      d = m.is_swap() ? eval_->delta_pair(m.bits[0], m.bits[1])
+                      : eval_->delta(m.bits[0]);
     }
     if (owner_.config_.check_incremental) check_trial_delta(m, d);
     return d;
@@ -142,15 +145,15 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
     if (circuit()) {
       owner_.engine_->apply(flips);
     } else if (m.is_swap()) {
-      eval_.flip_pair(m.bits[0], m.bits[1]);
+      eval_->flip_pair(m.bits[0], m.bits[1]);
     } else {
-      eval_.flip(m.bits[0]);
+      eval_->flip(m.bits[0]);
     }
     if (owner_.config_.check_incremental) check_committed_state();
   }
 
   const qubo::BitVector& state() const override {
-    return circuit() ? owner_.engine_->bound_input() : eval_.state();
+    return circuit() ? owner_.engine_->bound_input() : eval_->state();
   }
 
   bool supports_swaps() const override { return true; }
@@ -242,8 +245,8 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
       check_near(d, full, tol, "circuit trial delta");
       return;
     }
-    const double full = owner_.eval_matrix_.energy(candidate_of(m)) -
-                        owner_.eval_matrix_.energy(state());
+    const double full = owner_.lowered_->eval_matrix.energy(candidate_of(m)) -
+                        owner_.lowered_->eval_matrix.energy(state());
     check_near(d, full, tol, "eval trial delta");
   }
 
@@ -258,8 +261,8 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
                    1e-6 * std::max(1.0, std::abs(e)), "committed energy");
       }
     } else {
-      const double e = eval_.energy();
-      check_near(e, eval_.recompute(), 1e-6 * std::max(1.0, std::abs(e)),
+      const double e = eval_->energy();
+      check_near(e, eval_->recompute(), 1e-6 * std::max(1.0, std::abs(e)),
                  "committed energy");
     }
     if (hardware()) {
@@ -282,8 +285,8 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
   /// committed move — only the incident constraints change.
   void apply_totals(std::span<const std::size_t> flips) {
     const auto& x = state();  // pre-commit: the energy path flips after this
-    const auto& cs = owner_.form_.constraints;
-    gather_touched(owner_.ineq_by_var_, flips);
+    const auto& cs = owner_.form().constraints;
+    gather_touched(owner_.lowered_->ineq_by_var, flips);
     for (const std::uint32_t c : touched_ids_) {
       const bool was = totals_[c] > cs[c].capacity;
       for (const std::size_t k : flips) {
@@ -292,8 +295,8 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
       const bool now = totals_[c] > cs[c].capacity;
       if (was != now) violated_ += now ? 1 : -1;
     }
-    const auto& es = owner_.form_.equalities;
-    gather_touched(owner_.eq_by_var_, flips);
+    const auto& es = owner_.form().equalities;
+    gather_touched(owner_.lowered_->eq_by_var, flips);
     for (const std::uint32_t c : touched_ids_) {
       const bool was = eq_totals_[c] != es[c].capacity;
       for (const std::size_t k : flips) {
@@ -310,7 +313,9 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
   static constexpr double kMlTolVolts = 1e-9;
 
   HyCimSolver& owner_;
-  qubo::IncrementalEvaluator eval_;
+  /// Ideal/quantized energy path; built by the first reset() (never in
+  /// kCircuit fidelity, where the VMV engine's bound state serves).
+  std::optional<qubo::IncrementalEvaluator> eval_;
   std::vector<long long> totals_;
   std::vector<long long> eq_totals_;
   std::size_t violated_ = 0;     ///< inequality rows the current state breaks
@@ -321,34 +326,41 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
 
 HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
                          const HyCimConfig& config)
-    : form_(form), config_(config) {
+    : config_(config) {
+  auto lowered = std::make_shared<Lowered>();
+  lowered->form = form;
+  const ConstrainedQuboForm& f = lowered->form;
   cim::VmvEngineParams vmv = config_.vmv;
   vmv.mode = config_.fidelity;
   vmv.matrix_bits = config_.matrix_bits;
   vmv.kernel = config_.kernel;
-  engine_ = std::make_unique<cim::VmvEngine>(vmv, form_.q);
+  engine_ = std::make_unique<cim::VmvEngine>(vmv, f.q);
 
   // The incremental fast path evaluates the matrix the hardware actually
   // stores: the original for kIdeal, the quantized one for kQuantized.
-  eval_matrix_ = config_.fidelity == cim::VmvMode::kIdeal
-                     ? form_.q
-                     : engine_->quantized().dequantize();
+  lowered->eval_matrix = config_.fidelity == cim::VmvMode::kIdeal
+                             ? f.q
+                             : engine_->quantized().dequantize();
 
   // Kernel dispatch happens here, at fabrication: measure the density of
   // the matrix the hot loop will walk, resolve the config's choice, and
-  // prebuild the neighbor index once — clones share the snapshot.
+  // prebuild that kernel's structure (sparse neighbor index or dense row
+  // mirror) once.  Clones share the matrix with its prebuilt structure,
+  // so no lazy build ever runs on it concurrently.
   resolved_kernel_ =
-      qubo::resolve_kernel(config_.kernel, eval_matrix_.density());
+      qubo::resolve_kernel(config_.kernel, lowered->eval_matrix.density());
   if (resolved_kernel_ == qubo::Kernel::kSparse) {
-    eval_matrix_.neighbor_index();
+    lowered->eval_matrix.neighbor_index();
+  } else {
+    lowered->eval_matrix.dense_rows();
   }
 
   if (config_.filter_mode == FilterMode::kHardware) {
-    if (!form_.constraints.empty()) {
-      bank_ = std::make_unique<cim::FilterBank>(
-          config_.filter, form_.constraints, form_.size());
+    if (!f.constraints.empty()) {
+      bank_ = std::make_unique<cim::FilterBank>(config_.filter, f.constraints,
+                                                f.size());
     }
-    for (std::size_t e = 0; e < form_.equalities.size(); ++e) {
+    for (std::size_t e = 0; e < f.equalities.size(); ++e) {
       cim::InequalityFilterParams p = config_.filter;
       p.fab_seed = config_.filter.fab_seed + 1000 + e;
       // Hash-derived (not additive) per-filter noise streams: additive
@@ -362,46 +374,47 @@ HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
       // variables the equality actually weights.
       std::vector<long long> weights;
       std::vector<std::uint32_t> support;
-      for (std::size_t k = 0; k < form_.size(); ++k) {
-        if (form_.equalities[e].weights[k] == 0) continue;
+      for (std::size_t k = 0; k < f.size(); ++k) {
+        if (f.equalities[e].weights[k] == 0) continue;
         support.push_back(static_cast<std::uint32_t>(k));
-        weights.push_back(form_.equalities[e].weights[k]);
+        weights.push_back(f.equalities[e].weights[k]);
       }
-      eq_supports_.push_back(std::move(support));
-      equality_filters_.emplace_back(p, weights,
-                                     form_.equalities[e].capacity);
+      lowered->eq_supports.push_back(std::move(support));
+      equality_filters_.emplace_back(p, weights, f.equalities[e].capacity);
     }
   }
-  build_incidence();
+  build_incidence(*lowered);
+  lowered_ = std::move(lowered);
 }
 
-void HyCimSolver::build_incidence() {
-  const std::size_t n = form_.size();
-  ineq_by_var_.assign(n, {});
-  for (std::size_t c = 0; c < form_.constraints.size(); ++c) {
-    const auto& w = form_.constraints[c].weights;
+void HyCimSolver::build_incidence(Lowered& lowered) {
+  const ConstrainedQuboForm& f = lowered.form;
+  const std::size_t n = f.size();
+  lowered.ineq_by_var.assign(n, {});
+  for (std::size_t c = 0; c < f.constraints.size(); ++c) {
+    const auto& w = f.constraints[c].weights;
     for (std::size_t k = 0; k < n; ++k) {
       if (w[k] != 0) {
-        ineq_by_var_[k].push_back(static_cast<std::uint32_t>(c));
+        lowered.ineq_by_var[k].push_back(static_cast<std::uint32_t>(c));
       }
     }
   }
-  eq_by_var_.assign(n, {});
-  for (std::size_t c = 0; c < form_.equalities.size(); ++c) {
-    const auto& w = form_.equalities[c].weights;
+  lowered.eq_by_var.assign(n, {});
+  for (std::size_t c = 0; c < f.equalities.size(); ++c) {
+    const auto& w = f.equalities[c].weights;
     for (std::size_t k = 0; k < n; ++k) {
       if (w[k] != 0) {
-        eq_by_var_[k].push_back(static_cast<std::uint32_t>(c));
+        lowered.eq_by_var[k].push_back(static_cast<std::uint32_t>(c));
       }
     }
   }
   // Equality-filter incidence (hardware mode; empty supports otherwise).
-  eq_incidence_ = cim::VariableIncidence(eq_supports_, n);
+  eq_incidence_ = cim::VariableIncidence(lowered.eq_supports, n);
 }
 
 qubo::BitVector HyCimSolver::eq_gather(std::size_t e,
                                        std::span<const std::uint8_t> x) const {
-  const auto& support = eq_supports_.at(e);
+  const auto& support = lowered_->eq_supports.at(e);
   qubo::BitVector local(support.size());
   for (std::size_t s = 0; s < support.size(); ++s) local[s] = x[support[s]];
   return local;
@@ -409,14 +422,10 @@ qubo::BitVector HyCimSolver::eq_gather(std::size_t e,
 
 HyCimSolver::HyCimSolver(const HyCimSolver& proto,
                          std::uint64_t decision_seed)
-    : form_(proto.form_),
-      config_(proto.config_),
+    : config_(proto.config_),
+      lowered_(proto.lowered_),
       engine_(std::make_unique<cim::VmvEngine>(*proto.engine_)),
-      eval_matrix_(proto.eval_matrix_),
       resolved_kernel_(proto.resolved_kernel_),
-      ineq_by_var_(proto.ineq_by_var_),
-      eq_by_var_(proto.eq_by_var_),
-      eq_supports_(proto.eq_supports_),
       eq_incidence_(proto.eq_incidence_) {
   if (decision_seed != 0) config_.filter.decision_seed = decision_seed;
   if (proto.bank_) {
@@ -452,7 +461,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
                                std::uint64_t run_seed,
                                const anneal::Executor& executor,
                                const util::CancelToken& cancel) {
-  if (x0.size() != form_.size()) {
+  if (x0.size() != size()) {
     throw std::invalid_argument("HyCimSolver::solve: x0 size mismatch");
   }
   anneal::validate(config_.sa);
@@ -471,18 +480,18 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   // A tempered solve that reduces to a pure QUBO walk — software filters
   // with nothing to filter, energies from the incremental evaluator, no
   // cross-checking — batches its replicas through one shared-matrix SoA
-  // arena instead of one chip clone (matrix copy + engine) per replica.
+  // arena instead of one chip clone (engine + evaluator) per replica.
   // The views run the same kernels over the same snapshot, so the solve is
   // bit-identical to the cloned-chip path; only the layout changes.
   const bool batch_replicas =
       config_.soa_replicas && replica_count > 1 &&
       config_.fidelity != cim::VmvMode::kCircuit &&
       config_.filter_mode == FilterMode::kSoftware &&
-      form_.constraints.empty() && form_.equalities.empty() &&
+      form().constraints.empty() && form().equalities.empty() &&
       !config_.check_incremental;
   std::optional<anneal::QuboReplicaBatch> batch;
   if (batch_replicas) {
-    batch.emplace(eval_matrix_, replica_count, resolved_kernel_);
+    batch.emplace(lowered_->eval_matrix, replica_count, resolved_kernel_);
     problem_ptrs = batch->problems();
   } else if (replica_count == 1) {
     problems.push_back(std::make_unique<Problem>(*this));
@@ -520,7 +529,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   result.respaces = search.respaces;
   result.best_x = result.sa.best_x;
   result.best_energy = result.sa.best_energy;
-  result.feasible = form_.feasible(result.best_x);
+  result.feasible = form().feasible(result.best_x);
   result.kernel = resolved_kernel_;
   return result;
 }

@@ -122,14 +122,20 @@ class HyCimSolver {
  public:
   HyCimSolver(const ConstrainedQuboForm& form, const HyCimConfig& config);
 
-  /// "Program once, solve many": duplicates `proto`'s fabricated hardware
-  /// (filters, crossbars) without re-running fabrication and restarts the
-  /// comparator decision-noise streams from `decision_seed` (0 keeps the
-  /// proto's streams).  Bit-identical to constructing a fresh solver from
-  /// (proto.form(), proto config with filter.decision_seed = decision_seed)
-  /// — batch protocols use this to model N independent repeated
-  /// measurements on one programmed chip at copy cost instead of N
-  /// fabrications.
+  /// "Program once, solve many": clones `proto` without re-running
+  /// fabrication and restarts the comparator decision-noise streams from
+  /// `decision_seed` (0 keeps the proto's streams).  The clone shares
+  /// everything fabrication made immutable — the form, the matrices with
+  /// their prebuilt kernel structure, the incidence tables, and every
+  /// filter array's and crossbar's programmed cells with their derived
+  /// caches — and copies only the comparators, the noise streams, and the
+  /// per-array bound state and scratch, so its cost grows with the number
+  /// of columns, not cells.  reprogram() on a clone swaps in private cells
+  /// and never reaches the proto or a sibling.  Bit-identical to
+  /// constructing a fresh solver from (proto.form(), proto config with
+  /// filter.decision_seed = decision_seed) — batch protocols use this to
+  /// model N independent repeated measurements on one programmed chip
+  /// without N fabrications.
   HyCimSolver(const HyCimSolver& proto, std::uint64_t decision_seed);
 
   ~HyCimSolver();
@@ -177,9 +183,9 @@ class HyCimSolver {
   /// serve many schedules.
   void retarget_solve(const HyCimConfig& config);
   /// The constrained form in use.
-  const ConstrainedQuboForm& form() const { return form_; }
+  const ConstrainedQuboForm& form() const { return lowered_->form; }
   /// Number of binary variables.
-  std::size_t size() const { return form_.size(); }
+  std::size_t size() const { return lowered_->form.size(); }
 
   /// The inequality filter bank (nullptr in software filter mode or when
   /// the form has no inequality constraints).  Per-constraint filters are
@@ -193,42 +199,51 @@ class HyCimSolver {
   cim::VmvEngine& engine() { return *engine_; }
 
   /// Erases and re-programs filters + crossbars with fresh cycle-to-cycle
-  /// noise (the Fig. 7(f) repeated-measurement protocol).
+  /// noise (the Fig. 7(f) repeated-measurement protocol).  Affects this
+  /// solver only, never chips it was cloned from or to.
   void reprogram();
 
  private:
   class Problem;
 
+  /// The lowered problem and what fabrication derives from it alone.
+  /// Immutable once built, so clones share it.
+  struct Lowered {
+    ConstrainedQuboForm form;
+    /// Matrix behind the incremental fast path, with the resolved kernel's
+    /// structure (neighbor index or dense row mirror) prebuilt.
+    qubo::QuboMatrix eval_matrix;
+    // Constraint incidence: variable -> the inequality / equality
+    // constraint ids whose weight row contains it, so per-flip totals
+    // updates and feasibility trials touch O(incidence) constraints
+    // instead of all of them (the MDKP / bin-packing win; a QKP has one
+    // all-variables row and is unaffected).
+    std::vector<std::vector<std::uint32_t>> ineq_by_var;
+    std::vector<std::vector<std::uint32_t>> eq_by_var;
+    // Equality filters are fabricated over their support only (like the
+    // FilterBank's inequality filters); eq_supports[e] maps local column
+    // -> global variable.
+    std::vector<std::vector<std::uint32_t>> eq_supports;
+  };
+
   /// Builds the per-variable constraint-incidence lists (software totals)
-  /// and, in hardware mode, the equality filters' support compression +
-  /// incidence CSR.
-  void build_incidence();
+  /// into `lowered` and the equality filters' incidence CSR.
+  void build_incidence(Lowered& lowered);
 
   /// Gathers equality filter e's support columns out of a full-width
   /// configuration (the filters are support-compressed).
   qubo::BitVector eq_gather(std::size_t e,
                             std::span<const std::uint8_t> x) const;
 
-  ConstrainedQuboForm form_;
   HyCimConfig config_;
+  std::shared_ptr<const Lowered> lowered_;
   std::unique_ptr<cim::VmvEngine> engine_;
   std::unique_ptr<cim::FilterBank> bank_;
   std::vector<cim::EqualityFilter> equality_filters_;
-  qubo::QuboMatrix eval_matrix_;  ///< matrix behind the incremental fast path
   qubo::Kernel resolved_kernel_ = qubo::Kernel::kDense;
-  // Constraint incidence: variable -> the inequality / equality constraint
-  // ids whose weight row contains it, so per-flip totals updates and
-  // feasibility trials touch O(incidence) constraints instead of all of
-  // them (the MDKP / bin-packing win; a QKP has one all-variables row and
-  // is unaffected).
-  std::vector<std::vector<std::uint32_t>> ineq_by_var_;
-  std::vector<std::vector<std::uint32_t>> eq_by_var_;
-  // Equality filters are fabricated over their support only (like the
-  // FilterBank's inequality filters); eq_supports_[e] maps local column ->
-  // global variable and eq_incidence_ routes flips to the incident
-  // filters' local columns (the same cim::VariableIncidence the bank
-  // uses).
-  std::vector<std::vector<std::uint32_t>> eq_supports_;
+  // Routes flips to the incident equality filters' local columns (the same
+  // cim::VariableIncidence the bank uses).  Per solver: grouping uses
+  // scratch inside the index.
   cim::VariableIncidence eq_incidence_;
 };
 

@@ -185,10 +185,12 @@ BatchResult solve_batch(const core::ConstrainedQuboForm& form,
                         const BatchParams& params) {
   if (!init) throw std::invalid_argument("solve_batch: null init function");
   // Fabricate the chip once; every run clones it ("program once, solve
-  // many") instead of re-running the O(cells) fabrication.  The clone is
-  // bit-identical to a refabrication with the same fab_seed, so batch
-  // results are unchanged — construction just stops dominating the wall
-  // time of short anneals.
+  // many") instead of re-running the O(cells) fabrication.  A clone shares
+  // the form, the matrices and the programmed cells with their caches, and
+  // copies only per-run state (comparators, noise streams, bound state),
+  // O(columns).  It is bit-identical to a refabrication with the same
+  // fab_seed, so batch results are unchanged — construction just stops
+  // dominating the wall time of short anneals.
   const core::HyCimSolver prototype(form, config);
   return solve_batch(prototype, init, params);
 }

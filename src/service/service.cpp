@@ -513,7 +513,8 @@ Reply Service::attempt_solve(const Request& request,
   // schedule; clone it (decision streams kept — bit-identical to the
   // proto) and retarget the solve-time knobs to this request — with the
   // trace guard applied, so oversized requests solve with record_trace
-  // off.  Copy cost is O(cells) against the device simulation — noise.
+  // off.  The clone shares the cached chip's matrices and programmed
+  // cells, so it costs O(columns), not O(cells).
   core::HyCimSolver prototype(*chip, 0);
   prototype.retarget_solve(bounded_config(
       config, request.batch.restarts, config_.max_trace_events));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace hycim::cim {
@@ -116,6 +117,63 @@ TEST(Crossbar, ReprogramPerturbsUnderC2cNoise) {
   const double after = xb.column_current(rows, 0);
   EXPECT_NE(before, after);
   EXPECT_NEAR(after / before, 1.0, 0.05);  // regulated: small change
+}
+
+// Copies share the programmed cells and current caches; reprogram() and
+// age() install a private copy first, so neither reaches another copy.
+TEST(Crossbar, ReprogramOrAgeOnCopyLeavesOriginalAndSiblingUnchanged) {
+  const std::size_t n = 6;
+  util::Rng rng(12);
+  const auto bits = rng.random_bits(n * n);
+  const auto proto = make_crossbar(n, n, bits, device::VariationParams{}, 5);
+  const auto x = rng.random_bits(n);
+  std::vector<double> currents, toggles;
+  for (std::size_t col = 0; col < n; ++col) {
+    currents.push_back(proto.column_current(x, col));
+    for (std::size_t row = 0; row < n; ++row) {
+      toggles.push_back(proto.row_toggle_delta(row, col));
+    }
+  }
+
+  CrossbarArray reprogrammed(proto);
+  CrossbarArray aged(proto);
+  const CrossbarArray sibling(proto);
+  util::Rng reprogram_rng(13);
+  reprogrammed.reprogram(reprogram_rng);
+  aged.age(1e6);
+  EXPECT_NE(reprogrammed.column_current(x, 0), currents[0]);
+  EXPECT_NE(aged.column_current(x, 0), currents[0]);
+
+  for (const CrossbarArray* xb : {&proto, &sibling}) {
+    std::size_t t = 0;
+    for (std::size_t col = 0; col < n; ++col) {
+      EXPECT_EQ(xb->column_current(x, col), currents[col]);
+      for (std::size_t row = 0; row < n; ++row) {
+        EXPECT_EQ(xb->row_toggle_delta(row, col), toggles[t++]);
+        EXPECT_EQ(xb->bit(row, col), bits[row * n + col]);
+      }
+    }
+  }
+}
+
+TEST(Crossbar, MutatedCopyEqualsSameMutationOfRefabrication) {
+  const std::size_t n = 6;
+  util::Rng rng(14);
+  const auto bits = rng.random_bits(n * n);
+  const device::VariationParams var;
+  const auto proto = make_crossbar(n, n, bits, var, 5);
+  CrossbarArray copy(proto);
+  auto fresh = make_crossbar(n, n, bits, var, 5);
+  util::Rng copy_rng(15);
+  util::Rng fresh_rng(15);
+  copy.reprogram(copy_rng);
+  fresh.reprogram(fresh_rng);
+  copy.age(3600.0);
+  fresh.age(3600.0);
+  const auto x = rng.random_bits(n);
+  for (std::size_t col = 0; col < n; ++col) {
+    EXPECT_EQ(copy.column_current(x, col), fresh.column_current(x, col));
+  }
 }
 
 TEST(Crossbar, ReadVoltageBetweenLevels) {

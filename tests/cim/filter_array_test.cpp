@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "util/rng.hpp"
+
 namespace hycim::cim {
 namespace {
 
@@ -155,6 +157,62 @@ TEST(FilterArray, VariationPreservesOrderingForLargeGaps) {
   const double v_small = array.evaluate(std::vector<std::uint8_t>{1, 0});
   const double v_large = array.evaluate(std::vector<std::uint8_t>{0, 1});
   EXPECT_GT(v_small, v_large);
+}
+
+// Copies share the programmed cells; reprogram() and age() install a
+// private copy first, so neither reaches the original or a sibling copy.
+TEST(FilterArray, ReprogramOrAgeOnCopyLeavesOriginalAndSiblingUnchanged) {
+  const std::vector<long long> weights{12, 40, 7, 33, 25};
+  auto proto = make_array(weights, device::VariationParams{}, 4);
+  const std::vector<std::uint8_t> x{1, 0, 1, 1, 0};
+  const std::vector<std::size_t> flips{1, 3};
+  proto.bind(x);
+  const double ml = proto.evaluate(x);
+  const double bound = proto.bound_voltage();
+  const double trial = proto.trial(flips);
+
+  FilterArray reprogrammed(proto);
+  FilterArray aged(proto);
+  FilterArray sibling(proto);
+  util::Rng rng(6);
+  reprogrammed.reprogram(rng);
+  aged.age(1e6);
+  EXPECT_NE(reprogrammed.evaluate(x), ml);
+  EXPECT_NE(aged.evaluate(x), ml);
+  // The mutated copies re-aggregated their own bound state.
+  EXPECT_EQ(reprogrammed.bound_voltage(), reprogrammed.evaluate(x));
+  EXPECT_EQ(aged.bound_voltage(), aged.evaluate(x));
+
+  for (FilterArray* array : {&proto, &sibling}) {
+    EXPECT_EQ(array->evaluate(x), ml);
+    EXPECT_EQ(array->bound_voltage(), bound);
+    EXPECT_EQ(array->trial(flips), trial);
+    for (std::size_t col = 0; col < weights.size(); ++col) {
+      EXPECT_EQ(array->column_weight(col), weights[col]);
+      for (std::size_t row = 0; row < array->rows(); ++row) {
+        EXPECT_EQ(array->cell_level(row, col), proto.cell_level(row, col));
+      }
+    }
+  }
+}
+
+TEST(FilterArray, MutatedCopyEqualsSameMutationOfRefabrication) {
+  const std::vector<long long> weights{12, 40, 7, 33, 25};
+  const device::VariationParams var;  // c2c noise and drift both on
+  const auto proto = make_array(weights, var, 4);
+  FilterArray copy(proto);
+  auto fresh = make_array(weights, var, 4);
+  util::Rng copy_rng(8);
+  util::Rng fresh_rng(8);
+  copy.reprogram(copy_rng);
+  fresh.reprogram(fresh_rng);
+  copy.age(3600.0);
+  fresh.age(3600.0);
+  util::Rng inputs(9);
+  for (int k = 0; k < 8; ++k) {
+    const auto x = inputs.random_bits(weights.size());
+    EXPECT_EQ(copy.evaluate(x), fresh.evaluate(x)) << "input " << k;
+  }
 }
 
 TEST(FilterArray, PhasesMatchDeviceLevels) {

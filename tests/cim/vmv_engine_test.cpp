@@ -142,5 +142,54 @@ TEST(VmvEngine, ReprogramIsStableInIdealCorner) {
   EXPECT_NEAR(engine.energy(x), before, 1e-9);
 }
 
+// A copy shares the crossbars' programmed cells; its reprogram() installs
+// private cells, so the original and a sibling copy keep their energies.
+TEST(VmvEngine, ReprogramOnCopyLeavesOriginalAndSiblingUnchanged) {
+  util::Rng rng(8);
+  const std::size_t n = 16;
+  const auto q = integer_qubo(n, rng, 40);
+  auto p = circuit_params(6);
+  // Cycle-to-cycle noise strong enough to move whole ADC codes.
+  p.variation.sigma_vth_c2c = 0.1;
+  const VmvEngine proto(p, q);
+  std::vector<qubo::BitVector> inputs;
+  for (int k = 0; k < 12; ++k) inputs.push_back(rng.random_bits(n));
+  VmvEngine reference(proto);
+  std::vector<double> energies;
+  for (const auto& x : inputs) energies.push_back(reference.energy(x));
+
+  VmvEngine reprogrammed(proto);
+  VmvEngine sibling(proto);
+  reprogrammed.reprogram();
+  bool moved = false;
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    moved = moved || reprogrammed.energy(inputs[k]) != energies[k];
+  }
+  EXPECT_TRUE(moved);
+
+  VmvEngine after(proto);
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    EXPECT_EQ(after.energy(inputs[k]), energies[k]) << "input " << k;
+    EXPECT_EQ(sibling.energy(inputs[k]), energies[k]) << "input " << k;
+  }
+}
+
+TEST(VmvEngine, ReprogrammedCopyEqualsReprogrammedRefabrication) {
+  util::Rng rng(9);
+  const std::size_t n = 16;
+  const auto q = integer_qubo(n, rng, 40);
+  auto p = circuit_params(7);
+  p.variation.sigma_vth_c2c = 0.1;
+  const VmvEngine proto(p, q);
+  VmvEngine copy(proto);
+  VmvEngine fresh(p, q);
+  copy.reprogram();
+  fresh.reprogram();
+  for (int k = 0; k < 12; ++k) {
+    const auto x = rng.random_bits(n);
+    EXPECT_EQ(copy.energy(x), fresh.energy(x)) << "input " << k;
+  }
+}
+
 }  // namespace
 }  // namespace hycim::cim

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace hycim::cop {
 namespace {
 
@@ -40,6 +42,10 @@ TEST(MaxCut, ValidateCatchesBadEdges) {
   g.edges = {{0, 5, 1.0}};
   EXPECT_THROW(g.validate(), std::invalid_argument);
   g.edges = {{1, 1, 1.0}};
+  EXPECT_THROW(g.validate(), std::invalid_argument);
+  g.edges = {{0, 1, std::numeric_limits<double>::quiet_NaN()}};
+  EXPECT_THROW(g.validate(), std::invalid_argument);
+  g.edges = {{0, 1, -std::numeric_limits<double>::infinity()}};
   EXPECT_THROW(g.validate(), std::invalid_argument);
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "cop/adapters.hpp"
+#include "cop/qkp.hpp"
 #include "core/exact.hpp"
+#include "util/rng.hpp"
 
 namespace hycim::core {
 namespace {
@@ -173,6 +175,103 @@ TEST(HyCimSolver, ReprogramKeepsSolvingInIdealCorner) {
   solver.reprogram();
   const auto after = cop::solve_qkp_from_random(solver, inst, 4);
   EXPECT_EQ(before.profit, after.profit);
+}
+
+// Full-circuit chip with hardware filters and realistic device corners, so
+// reprogramming visibly moves both the filter matchline and the energies.
+HyCimConfig circuit_chip_config() {
+  HyCimConfig config;
+  config.sa.iterations = 300;
+  config.fidelity = cim::VmvMode::kCircuit;
+  config.filter_mode = FilterMode::kHardware;
+  config.vmv.adc.bits = 8;
+  return config;
+}
+
+/// What a chip's programming determines for input `x`: the filter's bound
+/// and full-evaluation matchline, the circuit energy, and the stored cells.
+struct ChipReadout {
+  double bound_ml = 0.0;
+  double ml = 0.0;
+  double energy = 0.0;
+  std::vector<int> levels;
+  bool operator==(const ChipReadout&) const = default;
+};
+
+ChipReadout read_chip(HyCimSolver& chip, const qubo::BitVector& x) {
+  ChipReadout out;
+  cim::FilterBank& bank = *chip.filter_bank();
+  bank.bind(x);
+  out.bound_ml = bank.bound_ml(0);
+  out.ml = bank.ml_voltage(0, x);
+  bank.unbind();
+  out.energy = chip.engine().energy(x);
+  const cim::FilterArray& array = bank.filter(0).working_array();
+  for (std::size_t row = 0; row < array.rows(); ++row) {
+    for (std::size_t col = 0; col < array.columns(); ++col) {
+      out.levels.push_back(array.cell_level(row, col));
+    }
+  }
+  return out;
+}
+
+TEST(HyCimSolver, CloneReprogramLeavesPrototypeAndSiblingUnchanged) {
+  const auto inst = small_instance(15, 8);
+  HyCimSolver proto(cop::to_constrained_form(inst), circuit_chip_config());
+  util::Rng rng(3);
+  const auto x = cop::random_feasible(inst, rng);
+  HyCimSolver sibling(proto, 21);
+  HyCimSolver reprogrammed(proto, 22);
+  const ChipReadout before = read_chip(proto, x);
+  ASSERT_EQ(read_chip(sibling, x), before);
+
+  reprogrammed.reprogram();
+  const ChipReadout moved = read_chip(reprogrammed, x);
+  EXPECT_NE(moved.ml, before.ml);
+  EXPECT_EQ(moved.levels, before.levels);  // same levels, fresh C2C noise
+  EXPECT_EQ(read_chip(proto, x), before);
+  EXPECT_EQ(read_chip(sibling, x), before);
+  // A clone taken after a sibling's reprogram still sees the original.
+  HyCimSolver late(proto, 23);
+  EXPECT_EQ(read_chip(late, x), before);
+}
+
+TEST(HyCimSolver, ReprogrammedCloneEqualsReprogrammedRefabrication) {
+  const auto inst = small_instance(16, 8);
+  const auto form = cop::to_constrained_form(inst);
+  HyCimConfig config = circuit_chip_config();
+  const HyCimSolver proto(form, config);
+  HyCimSolver clone(proto, 31);
+  config.filter.decision_seed = 31;
+  HyCimSolver fresh(form, config);
+  clone.reprogram();
+  fresh.reprogram();
+  util::Rng rng(4);
+  const auto x0 = cop::random_feasible(inst, rng);
+  EXPECT_EQ(read_chip(clone, x0), read_chip(fresh, x0));
+  const auto a = clone.solve(x0, 5);
+  const auto b = fresh.solve(x0, 5);
+  EXPECT_EQ(a.best_x, b.best_x);
+  EXPECT_EQ(a.best_energy, b.best_energy);
+  EXPECT_EQ(a.sa.rejected_infeasible, b.sa.rejected_infeasible);
+}
+
+TEST(HyCimSolver, CloneEqualsRefabricationWithSameDecisionSeed) {
+  const auto inst = small_instance(17, 8);
+  const auto form = cop::to_constrained_form(inst);
+  HyCimConfig config = circuit_chip_config();
+  const HyCimSolver proto(form, config);
+  HyCimSolver clone(proto, 41);
+  config.filter.decision_seed = 41;
+  HyCimSolver fresh(form, config);
+  util::Rng rng(5);
+  const auto x0 = cop::random_feasible(inst, rng);
+  const auto a = clone.solve(x0, 6);
+  const auto b = fresh.solve(x0, 6);
+  EXPECT_EQ(a.best_x, b.best_x);
+  EXPECT_EQ(a.best_energy, b.best_energy);
+  EXPECT_EQ(a.sa.rejected_infeasible, b.sa.rejected_infeasible);
+  EXPECT_EQ(read_chip(clone, x0), read_chip(fresh, x0));
 }
 
 }  // namespace

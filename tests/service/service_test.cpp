@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 
 #include "core/thread_budget.hpp"
 #include "cop/adapters.hpp"
+#include "cop/maxcut.hpp"
 #include "runtime/batch_runner.hpp"
 #include "service/request_hash.hpp"
 
@@ -386,6 +388,43 @@ TEST(Service, RejectsDegenerateRequests) {
   EXPECT_THROW(service.solve_form(one, core::HyCimConfig{}, runtime::InitFn{},
                                   runtime::BatchParams{}),
                std::invalid_argument);
+}
+
+// Malformed instances are rejected by cop::lower()'s validators: a throw
+// out of solve() and an exception in submit()'s future, the same contract
+// as an empty form.  Before validation these read out of bounds or served
+// a garbage kOk reply.
+void expect_invalid_instance(const Request& request) {
+  Service service;
+  EXPECT_THROW(service.solve(request), std::invalid_argument);
+  auto future = service.submit(request);
+  EXPECT_THROW(future.get(), std::invalid_argument);
+}
+
+Request maxcut_request(double bad_weight) {
+  cop::MaxCutInstance graph = cop::generate_maxcut(12, 0.5, 11);
+  graph.edges.at(0).weight = bad_weight;
+  Request request;
+  request.instance = graph;
+  request.config.sa.iterations = 100;
+  request.batch.restarts = 2;
+  return request;
+}
+
+TEST(Service, RejectsQkpWithMissizedProfits) {
+  Request request = qkp_request(61, 10);
+  std::get<cop::QkpInstance>(request.instance).profits.pop_back();
+  expect_invalid_instance(request);
+}
+
+TEST(Service, RejectsMaxCutWithNanWeight) {
+  expect_invalid_instance(
+      maxcut_request(std::numeric_limits<double>::quiet_NaN()));
+}
+
+TEST(Service, RejectsMaxCutWithInfiniteWeight) {
+  expect_invalid_instance(
+      maxcut_request(std::numeric_limits<double>::infinity()));
 }
 
 TEST(Service, PendingSubmissionsCompleteThroughShutdown) {
