@@ -502,9 +502,11 @@ void BM_SwapIndexRebuild(benchmark::State& state) {
 BENCHMARK(BM_SwapIndexRebuild)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_SwapIndexSampler(benchmark::State& state) {
-  // The incremental generator: O(log n) order-statistic picks plus the
-  // O(log n) commit that keeps the sampler in sync — the cost the SA engine
-  // now pays per swap proposal instead of BM_SwapIndexRebuild's O(n).
+  // The incremental generator: two O(1) order-statistic picks plus the O(n)
+  // commit (binary search + memmove per flipped bit) that keeps the
+  // sampler in sync.  Committing every iteration is the sampler's worst
+  // case: in a walk most proposals are filtered or rejected and pay only
+  // the picks, instead of BM_SwapIndexRebuild's O(n) per proposal.
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(7);
   anneal::IndexSampler sampler;
@@ -518,6 +520,31 @@ void BM_SwapIndexSampler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SwapIndexSampler)->Arg(100)->Arg(400)->Arg(1600);
+
+void BM_HardwareFilterProposal(benchmark::State& state) {
+  // One SA proposal on the n=100 QKP hardware-filter chip at quantized
+  // fidelity (the fig10 configuration): the swap/flip pick, the
+  // incidence-gated filter trial, and for the proposals that pass the
+  // filter the QUBO delta, Metropolis step, and commit.  A benchmark
+  // iteration is one 1000-iteration walk; the `proposal` counter is the
+  // time per proposal.  Trajectory only: no gate reads it.
+  const auto inst = instance(100);
+  core::HyCimConfig config;
+  config.filter_mode = core::FilterMode::kHardware;
+  config.fidelity = cim::VmvMode::kQuantized;
+  config.sa.iterations = 1000;
+  core::HyCimSolver chip(cop::to_constrained_form(inst), config);
+  util::Rng rng(3);
+  const auto x0 = cop::random_feasible(inst, rng);
+  std::uint64_t seed = 1;
+  double proposals = 0;
+  for (auto _ : state) {
+    proposals += static_cast<double>(chip.solve(x0, seed++).sa.proposed);
+  }
+  state.counters["proposal"] = benchmark::Counter(
+      proposals, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_HardwareFilterProposal)->Unit(benchmark::kMicrosecond);
 
 void BM_ExchangeStep(benchmark::State& state) {
   // One replica-exchange barrier over an R-slot ladder: the serial

@@ -1,75 +1,65 @@
 #include "anneal/index_sampler.hpp"
 
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace hycim::anneal {
 
 void IndexSampler::reset(std::span<const std::uint8_t> x) {
-  n_ = x.size();
-  bits_.assign(x.begin(), x.end());
+  const std::size_t n = x.size();
+  words_.assign((n + 63) / 64, 0);
+  order_.resize(n);
   ones_ = 0;
-  tree_.assign(n_ + 1, 0);
-  for (std::size_t i = 0; i < n_; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (x[i]) {
-      ++tree_[i + 1];
+      words_[i >> 6] |= std::uint64_t{1} << (i & 63);
       ++ones_;
     }
   }
-  // O(n) Fenwick construction: fold each node into its parent.
-  for (std::size_t i = 1; i <= n_; ++i) {
-    const std::size_t parent = i + (i & (~i + 1));
-    if (parent <= n_) tree_[parent] += tree_[i];
+  std::size_t one = 0, zero = ones_;
+  for (std::size_t i = 0; i < n; ++i) {
+    order_[x[i] ? one++ : zero++] = static_cast<std::uint32_t>(i);
   }
-  top_ = 1;
-  while (top_ * 2 <= n_) top_ *= 2;
-  if (n_ == 0) top_ = 0;
+}
+
+std::size_t IndexSampler::rank(std::size_t i) const {
+  std::size_t r = 0;
+  for (std::size_t w = 0; w < (i >> 6); ++w) r += std::popcount(words_[w]);
+  const std::uint64_t below = (std::uint64_t{1} << (i & 63)) - 1;
+  return r + std::popcount(words_[i >> 6] & below);
 }
 
 void IndexSampler::flip(std::size_t i) {
-  if (i >= n_) throw std::out_of_range("IndexSampler::flip: index");
-  const bool was_set = bits_[i] != 0;
-  bits_[i] ^= 1;
-  ones_ += was_set ? std::size_t(-1) : std::size_t(1);
-  for (std::size_t j = i + 1; j <= n_; j += j & (~j + 1)) {
-    if (was_set) {
-      --tree_[j];
-    } else {
-      ++tree_[j];
-    }
+  if (i >= size()) throw std::out_of_range("IndexSampler::flip: index");
+  // i's slot in the ones list (held or due) is the number of set bits
+  // below it; its slot in the zeros list, the number of cleared bits.
+  const std::size_t r = rank(i);
+  const std::size_t z = i - r;
+  std::uint32_t* a = order_.data();
+  if (test(i)) {
+    // Close the gap at slot r; i lands at zeros slot z of the shorter
+    // ones list.
+    std::memmove(a + r, a + r + 1, (ones_ - 1 - r + z) * sizeof *a);
+    --ones_;
+    a[ones_ + z] = static_cast<std::uint32_t>(i);
+  } else {
+    // Open slot r, closing i's old place at zeros slot z.
+    std::memmove(a + r + 1, a + r, (ones_ - r + z) * sizeof *a);
+    ++ones_;
+    a[r] = static_cast<std::uint32_t>(i);
   }
+  words_[i >> 6] ^= std::uint64_t{1} << (i & 63);
 }
 
 std::size_t IndexSampler::kth_one(std::size_t k) const {
   if (k >= ones_) throw std::out_of_range("IndexSampler::kth_one: k");
-  // Binary lifting: after the descent `pos` counts the positions whose
-  // prefix holds fewer than k+1 ones, i.e. the 0-based index of the k-th.
-  std::size_t pos = 0;
-  std::size_t remaining = k + 1;
-  for (std::size_t step = top_; step != 0; step >>= 1) {
-    const std::size_t next = pos + step;
-    if (next <= n_ && tree_[next] < remaining) {
-      remaining -= tree_[next];
-      pos = next;
-    }
-  }
-  return pos;
+  return order_[k];
 }
 
 std::size_t IndexSampler::kth_zero(std::size_t k) const {
   if (k >= zeros()) throw std::out_of_range("IndexSampler::kth_zero: k");
-  std::size_t pos = 0;
-  std::size_t remaining = k + 1;
-  for (std::size_t step = top_; step != 0; step >>= 1) {
-    const std::size_t next = pos + step;
-    if (next <= n_) {
-      const std::size_t zeros_in_block = step - tree_[next];
-      if (zeros_in_block < remaining) {
-        remaining -= zeros_in_block;
-        pos = next;
-      }
-    }
-  }
-  return pos;
+  return order_[ones_ + k];
 }
 
 }  // namespace hycim::anneal

@@ -3,10 +3,15 @@
 // The SA swap neighborhood needs "a uniformly random selected bit and a
 // uniformly random unselected bit" every proposal.  Rebuilding the ones /
 // zeros index lists from the state costs O(n) per proposal — the dominant
-// move-generation cost on large instances.  This sampler maintains a
-// Fenwick (binary indexed) tree over the bit values instead: a commit
-// updates it in O(log n) and the k-th smallest set (or cleared) index is
-// answered in O(log n) by binary lifting.
+// move-generation cost on large instances.  This sampler keeps those two
+// ascending lists alive across proposals instead, back to back in one
+// array (set-bit positions, then cleared-bit positions), so the k-th
+// smallest set (or cleared) index is a single load.  A commit moves the
+// flipped index from one list to the other with one memmove of the
+// entries between its old and new slot; the slots are ranks, counted by
+// popcount over a packed copy of the bits.  Proposals vastly outnumber
+// commits — filter and Metropolis rejections never touch the lists — so
+// the O(1) pick is the side that pays.
 //
 // Sampling equivalence: kth_one(k) is exactly `ones[k]` of the
 // ascending-index list the engine used to rebuild (and kth_zero(k) is
@@ -21,25 +26,26 @@
 
 namespace hycim::anneal {
 
-/// Fenwick-tree index sampler: O(log n) flip and k-th order statistics over
-/// the set/cleared bit positions of a binary configuration.
+/// Ascending position lists of the set and cleared bits of a binary
+/// configuration: O(1) k-th order statistics, O(n) flip.
 class IndexSampler {
  public:
   IndexSampler() = default;
 
-  /// (Re)builds the tree for configuration `x` in O(n).
+  /// (Re)builds the lists for configuration `x` in O(n).
   void reset(std::span<const std::uint8_t> x);
 
   /// Number of tracked bits.
-  std::size_t size() const { return n_; }
+  std::size_t size() const { return order_.size(); }
   /// Number of set bits.
   std::size_t ones() const { return ones_; }
   /// Number of cleared bits.
-  std::size_t zeros() const { return n_ - ones_; }
+  std::size_t zeros() const { return order_.size() - ones_; }
   /// Current value of bit `i`.
-  bool test(std::size_t i) const { return bits_[i] != 0; }
+  bool test(std::size_t i) const { return (words_[i >> 6] >> (i & 63)) & 1; }
 
-  /// Toggles bit `i` in O(log n).  Call once per committed flip.
+  /// Toggles bit `i` in O(n) (popcount rank + one memmove, no allocation).
+  /// Call once per committed flip.
   void flip(std::size_t i);
 
   /// Index of the k-th smallest set bit (0-based; requires k < ones()).
@@ -50,11 +56,14 @@ class IndexSampler {
   std::size_t kth_zero(std::size_t k) const;
 
  private:
-  std::vector<std::uint32_t> tree_;  ///< 1-based Fenwick partial sums
-  std::vector<std::uint8_t> bits_;
-  std::size_t n_ = 0;
+  /// Number of set bits below position `i`.
+  std::size_t rank(std::size_t i) const;
+
+  std::vector<std::uint64_t> words_;  ///< the bits, 64 per word
+  /// [0, ones_): set-bit positions ascending; [ones_, size()): cleared-bit
+  /// positions ascending.
+  std::vector<std::uint32_t> order_;
   std::size_t ones_ = 0;
-  std::size_t top_ = 0;  ///< largest power of two <= n_
 };
 
 }  // namespace hycim::anneal

@@ -70,11 +70,11 @@ void SaWalk::init(const qubo::BitVector& x0) {
   swaps_enabled_ =
       params_.swap_probability > 0.0 && problem_.supports_swaps();
   // Swap proposals need a uniformly random (selected, unselected) index
-  // pair.  The sampler answers k-th order statistics over the state's bits
-  // in O(log n) and is maintained incrementally against commits — replacing
-  // the O(n) ones/zeros list rebuild per proposal — while sampling the
-  // exact indices those ascending lists would have produced, so walks are
-  // bit-identical to the rebuild implementation.
+  // pair.  The sampler keeps the ascending ones/zeros lists alive and
+  // updates them on commits only — replacing the O(n) rebuild per
+  // proposal with an O(1) pick — so it samples the exact indices the
+  // rebuilt lists would have produced and walks are bit-identical to the
+  // rebuild implementation.
   if (swaps_enabled_) sampler_.reset(problem_.state());
 }
 
@@ -112,7 +112,6 @@ void SaWalk::run_to(std::size_t evaluated_target) {
   while (result_.evaluated < evaluated_target &&
          result_.proposed < proposal_cap_) {
     ++result_.proposed;
-    const double temperature = this->temperature();
 
     // Choose a move: swap (one-in/one-out) or single-bit flip.
     bool is_swap = false;
@@ -132,10 +131,13 @@ void SaWalk::run_to(std::size_t evaluated_target) {
       ++result_.rejected_infeasible;
       continue;
     }
-    ++result_.evaluated;
     const double d = problem_.trial_delta(move);
+    // The temperature (a std::pow in geometric schedule mode) is read only
+    // when Metropolis needs it, at this computation's iteration index —
+    // hence before the counter advances.
     const bool accept =
-        d <= 0.0 || rng_.uniform() < std::exp(-d / temperature);
+        d <= 0.0 || rng_.uniform() < std::exp(-d / temperature());
+    ++result_.evaluated;
     if (accept) {
       problem_.commit(move);
       if (swaps_enabled_) {

@@ -1,6 +1,6 @@
 #include "cim/filter/filter_array.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -39,25 +39,26 @@ FilterArray::FilterArray(const FilterArrayParams& params,
 
 void FilterArray::install(std::shared_ptr<Programmed> block) {
   const std::size_t phases = read_voltages_.size();
-  block->g_cache.assign(phases, std::vector<double>(columns_, 0.0));
-  block->isat_cache.assign(phases, std::vector<double>(columns_, 0.0));
-  block->isat_idle.assign(columns_, 0.0);
+  block->loads.assign(columns_ * phases, PhaseLoad{});
   block->isat_idle_total = 0.0;
   for (std::size_t col = 0; col < columns_; ++col) {
+    PhaseLoad* loads = block->loads.data() + col * phases;
+    double isat_idle = 0.0;
     for (std::size_t row = 0; row < params_.rows; ++row) {
       const auto& cell = block->cells[row * columns_ + col];
       for (std::size_t p = 0; p < phases; ++p) {
         const double vg = read_voltages_[p];
-        block->g_cache[p][col] += cell.conductance(vg);
-        block->isat_cache[p][col] += cell.sat_current(vg);
+        loads[p].g += cell.conductance(vg);
+        loads[p].i_sink += cell.sat_current(vg);
       }
-      block->isat_idle[col] += cell.sat_current(0.0);
+      isat_idle += cell.sat_current(0.0);
     }
-    block->isat_idle_total += block->isat_idle[col];
+    for (std::size_t p = 0; p < phases; ++p) loads[p].i_sink -= isat_idle;
+    block->isat_idle_total += isat_idle;
   }
   programmed_ = std::move(block);
   // Device state changed (program / age): re-aggregate any bound state so
-  // the cached loads reflect the fresh per-column caches.
+  // the cached loads reflect the fresh per-column loads.
   if (bound_) rebuild_bound();
 }
 
@@ -74,19 +75,16 @@ void FilterArray::rebuild_bound() {
   const Programmed& pg = *programmed_;
   const std::size_t phases = read_voltages_.size();
   bound_g_.assign(phases, 0.0);
-  bound_isink_.assign(phases, 0.0);
+  bound_isink_.assign(phases, pg.isat_idle_total);
   // Same accumulation order as run(): per phase, selected columns in
   // ascending order — bound_voltage() is bit-identical to evaluate().
-  for (std::size_t p = 0; p < phases; ++p) {
-    double g = 0.0;
-    double i_sink = pg.isat_idle_total;
-    for (std::size_t col = 0; col < columns_; ++col) {
-      if (!bound_x_[col]) continue;
-      g += pg.g_cache[p][col];
-      i_sink += pg.isat_cache[p][col] - pg.isat_idle[col];
+  for (std::size_t col = 0; col < columns_; ++col) {
+    if (!bound_x_[col]) continue;
+    const PhaseLoad* loads = pg.loads.data() + col * phases;
+    for (std::size_t p = 0; p < phases; ++p) {
+      bound_g_[p] += loads[p].g;
+      bound_isink_[p] += loads[p].i_sink;
     }
-    bound_g_[p] = g;
-    bound_isink_[p] = i_sink;
   }
   commits_since_rebind_ = 0;
 }
@@ -105,26 +103,37 @@ const std::vector<std::uint8_t>& FilterArray::bound_input() const {
 
 double FilterArray::bound_voltage() const {
   if (!bound_) throw std::logic_error("FilterArray: not bound");
-  return settle(bound_g_, bound_isink_);
+  double v_ml = params_.v_dd;  // precharged
+  for (std::size_t p = 0; p < bound_g_.size(); ++p) {
+    v_ml = settle_phase(v_ml, bound_g_[p], bound_isink_[p]);
+  }
+  return v_ml;
 }
 
 double FilterArray::trial(std::span<const std::size_t> flips) const {
   if (!bound_) throw std::logic_error("FilterArray::trial: not bound");
-  const Programmed& pg = *programmed_;
-  const std::size_t phases = read_voltages_.size();
-  trial_g_.assign(bound_g_.begin(), bound_g_.end());
-  trial_isink_.assign(bound_isink_.begin(), bound_isink_.end());
   for (const std::size_t col : flips) {
     if (col >= columns_) {
       throw std::invalid_argument("FilterArray::trial: column out of range");
     }
-    const double sign = bound_x_[col] ? -1.0 : 1.0;
-    for (std::size_t p = 0; p < phases; ++p) {
-      trial_g_[p] += sign * pg.g_cache[p][col];
-      trial_isink_[p] += sign * (pg.isat_cache[p][col] - pg.isat_idle[col]);
-    }
   }
-  return settle(trial_g_, trial_isink_);
+  const PhaseLoad* loads = programmed_->loads.data();
+  const std::size_t phases = read_voltages_.size();
+  // One pass: per phase, the bound loads plus the flipped columns' loads
+  // in flip order (the adds apply() makes), settled straight away.
+  double v_ml = params_.v_dd;  // precharged
+  for (std::size_t p = 0; p < phases; ++p) {
+    double g = bound_g_[p];
+    double i_sink = bound_isink_[p];
+    for (const std::size_t col : flips) {
+      const double sign = bound_x_[col] ? -1.0 : 1.0;
+      const PhaseLoad& load = loads[col * phases + p];
+      g += sign * load.g;
+      i_sink += sign * load.i_sink;
+    }
+    v_ml = settle_phase(v_ml, g, i_sink);
+  }
+  return v_ml;
 }
 
 void FilterArray::apply(std::span<const std::size_t> flips) {
@@ -136,29 +145,25 @@ void FilterArray::apply(std::span<const std::size_t> flips) {
       throw std::invalid_argument("FilterArray::apply: column out of range");
     }
     const double sign = bound_x_[col] ? -1.0 : 1.0;
+    const PhaseLoad* loads = pg.loads.data() + col * phases;
     for (std::size_t p = 0; p < phases; ++p) {
-      bound_g_[p] += sign * pg.g_cache[p][col];
-      bound_isink_[p] += sign * (pg.isat_cache[p][col] - pg.isat_idle[col]);
+      bound_g_[p] += sign * loads[p].g;
+      bound_isink_[p] += sign * loads[p].i_sink;
     }
     bound_x_[col] ^= 1;
   }
   if (++commits_since_rebind_ >= kRebindInterval) rebuild_bound();
 }
 
-double FilterArray::settle(std::span<const double> g,
-                           std::span<const double> i_sink) const {
-  double v_ml = params_.v_dd;  // precharged
-  for (std::size_t p = 0; p < g.size(); ++p) {
-    if (g[p] > 1e-18) {
-      const double v_inf = -i_sink[p] / g[p];
-      v_ml = (v_ml - v_inf) * std::exp(-g[p] * params_.t_phase / params_.c_ml)
-             + v_inf;
-    } else {
-      v_ml -= i_sink[p] * params_.t_phase / params_.c_ml;
-    }
-    v_ml = std::max(0.0, v_ml);
+double FilterArray::settle_phase(double v_ml, double g, double i_sink) const {
+  if (g > 1e-18) {
+    const double v_inf = -i_sink / g;
+    v_ml = (v_ml - v_inf) * std::exp(-g * params_.t_phase / params_.c_ml) +
+           v_inf;
+  } else {
+    v_ml -= i_sink * params_.t_phase / params_.c_ml;
   }
-  return v_ml;
+  return std::max(0.0, v_ml);
 }
 
 double FilterArray::evaluate(std::span<const std::uint8_t> x) const {
@@ -185,38 +190,35 @@ double FilterArray::run(std::span<const std::uint8_t> x,
   // evaluates, so the two paths cannot diverge.
   const Programmed& pg = *programmed_;
   const std::size_t phases = read_voltages_.size();
-  trial_g_.assign(phases, 0.0);
-  trial_isink_.assign(phases, pg.isat_idle_total);  // unselected leak, VG = 0
-  for (std::size_t p = 0; p < phases; ++p) {
-    for (std::size_t col = 0; col < columns_; ++col) {
-      if (!x[col]) continue;
-      trial_g_[p] += pg.g_cache[p][col];
-      trial_isink_[p] += pg.isat_cache[p][col] - pg.isat_idle[col];
-    }
-  }
-  if (!waveform) return settle(trial_g_, trial_isink_);
-
   double v_ml = params_.v_dd;  // precharged
   double t = 0.0;
-  waveform->push_back({t, v_ml});
+  if (waveform) waveform->push_back({t, v_ml});
   for (std::size_t p = 0; p < phases; ++p) {
-    const double g = trial_g_[p];
-    const double i_sink = trial_isink_[p];
-    // Exact solution of C·dv/dt = −(g·v + i_sink) over the phase.
-    auto v_at = [&](double dt_local) {
-      if (g > 1e-18) {
-        const double v_inf = -i_sink / g;
-        return (v_ml - v_inf) * std::exp(-g * dt_local / params_.c_ml) + v_inf;
-      }
-      return v_ml - i_sink * dt_local / params_.c_ml;
-    };
-    for (int s = 1; s <= samples_per_phase; ++s) {
-      const double dt_local =
-          params_.t_phase * static_cast<double>(s) / samples_per_phase;
-      waveform->push_back({t + dt_local, std::max(0.0, v_at(dt_local))});
+    double g = 0.0;
+    double i_sink = pg.isat_idle_total;  // unselected leak, VG = 0
+    for (std::size_t col = 0; col < columns_; ++col) {
+      if (!x[col]) continue;
+      g += pg.loads[col * phases + p].g;
+      i_sink += pg.loads[col * phases + p].i_sink;
     }
-    v_ml = std::max(0.0, v_at(params_.t_phase));
-    t += params_.t_phase;
+    if (waveform) {
+      // Exact solution of C·dv/dt = −(g·v + i_sink) over the phase.
+      auto v_at = [&](double dt_local) {
+        if (g > 1e-18) {
+          const double v_inf = -i_sink / g;
+          return (v_ml - v_inf) * std::exp(-g * dt_local / params_.c_ml) +
+                 v_inf;
+        }
+        return v_ml - i_sink * dt_local / params_.c_ml;
+      };
+      for (int s = 1; s <= samples_per_phase; ++s) {
+        const double dt_local =
+            params_.t_phase * static_cast<double>(s) / samples_per_phase;
+        waveform->push_back({t + dt_local, std::max(0.0, v_at(dt_local))});
+      }
+      t += params_.t_phase;
+    }
+    v_ml = settle_phase(v_ml, g, i_sink);
   }
   return v_ml;
 }

@@ -139,44 +139,45 @@ class FilterArray {
   const FilterArrayParams& params() const { return params_; }
 
  private:
+  /// What selecting one column adds to the matchline during one phase:
+  /// the column's summed ON conductance, and its OFF sink current at the
+  /// phase's gate voltage minus the idle (VG = 0) sink it already drew.
+  struct PhaseLoad {
+    double g = 0.0;
+    double i_sink = 0.0;
+  };
+
   /// The programmed cells and everything derived from them.  Built once per
   /// programming and never mutated afterwards, so copies share it.
   struct Programmed {
     std::vector<device::Cell1F1R> cells;  // row-major [row * columns + col]
-    // Per phase p and column c: summed ON conductance and OFF sink current
-    // of the column's cells at that phase's gate voltage.
-    std::vector<std::vector<double>> g_cache;     // [phase][col]
-    std::vector<std::vector<double>> isat_cache;  // [phase][col]
-    std::vector<double> isat_idle;  // per-column sink current at VG = 0
-    double isat_idle_total = 0.0;
+    // Column-major [col * phases + phase]: a trial reads one column's
+    // loads for every phase from one contiguous run.
+    std::vector<PhaseLoad> loads;
+    double isat_idle_total = 0.0;  // sink current of all columns at VG = 0
   };
 
   double run(std::span<const std::uint8_t> x, std::vector<MlSample>* waveform,
              int samples_per_phase) const;
-  /// Derives `block`'s conductance caches from its cells, installs it as
-  /// this array's programmed state, and re-aggregates any bound state.
+  /// Derives `block`'s phase loads from its cells, installs it as this
+  /// array's programmed state, and re-aggregates any bound state.
   void install(std::shared_ptr<Programmed> block);
   void rebuild_bound();
-  /// Final ML voltage of the staircase read given per-phase aggregate
-  /// conductance and sink-current loads — the same closed-form transient
-  /// run() evaluates, factored out so full and incremental paths share it.
-  double settle(std::span<const double> g, std::span<const double> i_sink)
-      const;
+  /// One staircase phase of the closed-form transient: the ML voltage
+  /// after a phase that starts at `v_ml` under aggregate conductance `g`
+  /// and sink current `i_sink`.  Every evaluation path settles through it.
+  double settle_phase(double v_ml, double g, double i_sink) const;
 
   FilterArrayParams params_;
   std::size_t columns_ = 0;
   std::vector<double> read_voltages_;  // ascending phase amplitudes
   std::shared_ptr<const Programmed> programmed_;
-  // Bound state: per-phase aggregate loads of bound_x_ plus trial scratch.
+  // Bound state: per-phase aggregate loads of bound_x_.
   bool bound_ = false;
   std::vector<std::uint8_t> bound_x_;
   std::vector<double> bound_g_;      // [phase]
   std::vector<double> bound_isink_;  // [phase]
   std::size_t commits_since_rebind_ = 0;
-  // Per-phase scratch shared by evaluate()/trial(); makes evaluation
-  // allocation-free but means one FilterArray must not be evaluated from
-  // several threads at once (solver instances are per-run already).
-  mutable std::vector<double> trial_g_, trial_isink_;
 };
 
 }  // namespace hycim::cim

@@ -1,6 +1,5 @@
 #include "cim/filter/incidence.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace hycim::cim {
@@ -27,52 +26,40 @@ VariableIncidence::VariableIncidence(
 
 std::span<const VariableIncidence::Touched> VariableIncidence::group(
     std::span<const std::size_t> flips) const {
-  flip_entries_.clear();
+  runs_.clear();
+  std::size_t total = 0;
   for (const std::size_t k : flips) {
     if (k >= variables()) {
       throw std::invalid_argument("VariableIncidence: flip out of range");
     }
-    for (std::size_t e = offsets_[k]; e < offsets_[k + 1]; ++e) {
-      flip_entries_.push_back(entries_[e]);
-    }
+    runs_.push_back({offsets_[k], offsets_[k + 1]});
+    total += offsets_[k + 1] - offsets_[k];
   }
-  // Ascending filter order (the order the pre-incidence loop judged
-  // filters in); stable so a filter sees its flips in proposal order.
-  // Insertion sort, not std::stable_sort: libstdc++'s stable_sort
-  // allocates a merge buffer per call, which would be a steady-state
-  // allocation inside the proposal→commit loop — and the range here is a
-  // move's incident filters (a handful of entries), where insertion sort
-  // wins anyway.
-  for (std::size_t s = 1; s < flip_entries_.size(); ++s) {
-    const auto entry = flip_entries_[s];
-    std::size_t t = s;
-    while (t > 0 && flip_entries_[t - 1].first > entry.first) {
-      flip_entries_[t] = flip_entries_[t - 1];
-      --t;
-    }
-    flip_entries_[t] = entry;
-  }
+  // With the capacity reserved up front, push_back never reallocates, so
+  // each Touched can view locals_ as its run is appended.
   locals_.clear();
+  locals_.reserve(total);
   touched_.clear();
-  for (const auto& [filter, local] : flip_entries_) {
+  // Merge the flips' runs, each already in ascending filter order (the
+  // order the pre-incidence loop judged filters in).  Ties go to the
+  // earliest flip, so a filter sees its flips in proposal order.
+  for (;;) {
+    Run* next = nullptr;
+    for (auto& run : runs_) {
+      if (run.begin != run.end &&
+          (next == nullptr ||
+           entries_[run.begin].first < entries_[next->begin].first)) {
+        next = &run;
+      }
+    }
+    if (next == nullptr) break;
+    const auto [filter, local] = entries_[next->begin++];
     if (touched_.empty() || touched_.back().filter != filter) {
-      touched_.push_back({filter, {}});
+      touched_.push_back({filter, {locals_.data() + locals_.size(), 0}});
     }
     locals_.push_back(local);
-  }
-  // Attach the span views only once locals_ is fully built (push_back
-  // may reallocate): walk the sorted entries again, one contiguous run
-  // per touched filter.
-  std::size_t pos = 0;
-  for (auto& touched : touched_) {
-    const std::size_t start = pos;
-    std::size_t len = 0;
-    while (pos < flip_entries_.size() &&
-           flip_entries_[pos].first == touched.filter) {
-      ++pos;
-      ++len;
-    }
-    touched.locals = {locals_.data() + start, len};
+    auto& locals = touched_.back().locals;
+    locals = {locals.data(), locals.size() + 1};
   }
   return touched_;
 }

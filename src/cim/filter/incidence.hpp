@@ -45,10 +45,18 @@ class VariableIncidence {
   std::span<const Touched> group(std::span<const std::size_t> flips) const;
 
  private:
+  /// One flipped variable's not-yet-merged entries, [begin, end).
+  struct Run {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
   std::vector<std::size_t> offsets_;  // variables + 1
+  // (filter, local) per variable, each variable's run in ascending filter
+  // order.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> entries_;
   // group() scratch.
-  mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> flip_entries_;
+  mutable std::vector<Run> runs_;
   mutable std::vector<std::size_t> locals_;
   mutable std::vector<Touched> touched_;
 };

@@ -30,8 +30,8 @@ constexpr std::string_view kKindOf<MaxCutInstance> = "maxcut";
 
 // --- Registry entries ----------------------------------------------------
 // One lower_entry() overload per variant alternative: the lowering, the
-// feasible-x0 generator, and the problem-level scorer, bundled.  Kinds with
-// a validator run it first, so a malformed instance throws
+// feasible-x0 generator, and the problem-level scorer, bundled.  Each kind
+// runs its validator first, so a malformed instance throws
 // std::invalid_argument here instead of lowering garbage.  Closures
 // share the instance through a shared_ptr so the bundle owns everything it
 // needs (async submissions outlive the request object).
@@ -74,6 +74,7 @@ LoweredProblem lower_entry(const MdkpInstance& instance) {
 }
 
 LoweredProblem lower_entry(const BinPackingInstance& instance) {
+  instance.validate();
   auto inst = std::make_shared<const BinPackingInstance>(instance);
   BinPackingForm lowered = to_constrained_form(*inst);
   LoweredProblem out;
@@ -99,6 +100,7 @@ LoweredProblem lower_entry(const BinPackingInstance& instance) {
 }
 
 LoweredProblem lower_entry(const ColoringInstance& instance) {
+  instance.validate();
   auto inst = std::make_shared<const ColoringInstance>(instance);
   ColoringForm lowered = to_constrained_form(*inst);
   LoweredProblem out;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace hycim::cop {
 
@@ -49,6 +50,30 @@ std::size_t BinPackingInstance::lower_bound() const {
   const long long total =
       std::accumulate(item_sizes.begin(), item_sizes.end(), 0LL);
   return static_cast<std::size_t>((total + bin_capacity - 1) / bin_capacity);
+}
+
+void BinPackingInstance::validate() const {
+  if (bin_capacity <= 0) {
+    throw std::invalid_argument("bin packing: bin_capacity must be > 0, got " +
+                                std::to_string(bin_capacity));
+  }
+  for (std::size_t i = 0; i < num_items(); ++i) {
+    if (item_sizes[i] < 0 || item_sizes[i] > bin_capacity) {
+      throw std::invalid_argument(
+          "bin packing: item_sizes[" + std::to_string(i) + "] = " +
+          std::to_string(item_sizes[i]) + " is outside [0, bin_capacity = " +
+          std::to_string(bin_capacity) + "]");
+    }
+  }
+  const auto ffd = first_fit_decreasing(*this);
+  const std::size_t ffd_bins =
+      ffd.empty() ? 0 : *std::max_element(ffd.begin(), ffd.end()) + 1;
+  if (max_bins < ffd_bins) {
+    throw std::invalid_argument(
+        "bin packing: max_bins = " + std::to_string(max_bins) +
+        " is below the first-fit-decreasing bin count " +
+        std::to_string(ffd_bins));
+  }
 }
 
 std::vector<std::size_t> first_fit_decreasing(const BinPackingInstance& inst) {

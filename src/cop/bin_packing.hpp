@@ -33,6 +33,12 @@ struct BinPackingInstance {
   std::size_t bins_used(std::span<const std::uint8_t> x) const;
   /// Lower bound on bins: ceil(Σ sizes / C).
   std::size_t lower_bound() const;
+
+  /// Throws std::invalid_argument naming the offending field unless
+  /// bin_capacity > 0, every item size lies in [0, bin_capacity], and
+  /// max_bins holds the first-fit-decreasing packing (the feasible start
+  /// the lowering encodes).
+  void validate() const;
 };
 
 /// First-fit-decreasing heuristic; returns per-item bin indices.  Always a

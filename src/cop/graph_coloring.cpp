@@ -1,6 +1,8 @@
 #include "cop/graph_coloring.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace hycim::cop {
 
@@ -36,6 +38,23 @@ std::size_t ColoringInstance::violations(std::span<const std::uint8_t> x) const 
     if (colors[u] != num_colors && colors[u] == colors[v]) ++bad;
   }
   return bad;
+}
+
+void ColoringInstance::validate() const {
+  if (num_vertices > 0 && num_colors == 0) {
+    throw std::invalid_argument("coloring: num_colors must be > 0");
+  }
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const auto [u, v] = edges[e];
+    const std::string edge = "coloring: edges[" + std::to_string(e) + "] = (" +
+                             std::to_string(u) + ", " + std::to_string(v) +
+                             ")";
+    if (u >= num_vertices || v >= num_vertices) {
+      throw std::invalid_argument(edge + " has an endpoint >= num_vertices = " +
+                                  std::to_string(num_vertices));
+    }
+    if (u == v) throw std::invalid_argument(edge + " is a self-loop");
+  }
 }
 
 ColoringInstance generate_coloring(std::size_t vertices, double p,

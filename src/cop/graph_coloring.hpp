@@ -33,6 +33,11 @@ struct ColoringInstance {
 
   /// Number of violated constraints (multi/zero-hot vertices + bad edges).
   std::size_t violations(std::span<const std::uint8_t> x) const;
+
+  /// Throws std::invalid_argument naming the offending field unless a
+  /// graph with vertices has num_colors > 0 and every edge joins two
+  /// distinct vertices below num_vertices.
+  void validate() const;
 };
 
 /// Random Erdős–Rényi coloring instance.

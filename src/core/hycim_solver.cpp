@@ -41,23 +41,13 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
   std::size_t num_bits() const override { return owner_.form().size(); }
 
   double reset(const qubo::BitVector& x) override {
-    const auto& cs = owner_.form().constraints;
-    violated_ = 0;
-    for (std::size_t c = 0; c < cs.size(); ++c) {
-      totals_[c] = constraint_total(cs[c], x);
-      if (totals_[c] > cs[c].capacity) ++violated_;
-    }
-    const auto& es = owner_.form().equalities;
-    eq_violated_ = 0;
-    for (std::size_t c = 0; c < es.size(); ++c) {
-      eq_totals_[c] = constraint_total(es[c], x);
-      if (eq_totals_[c] != es[c].capacity) ++eq_violated_;
-    }
     if (hardware()) {
       if (owner_.bank_) owner_.bank_->bind(x);
       for (std::size_t e = 0; e < owner_.equality_filters_.size(); ++e) {
         owner_.equality_filters_[e].bind(owner_.eq_gather(e, x));
       }
+    } else {
+      reset_totals(x);
     }
     if (circuit()) {
       owner_.engine_->bind(x);
@@ -111,6 +101,7 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
     // short-circuit first (ascending filter order), then the equality
     // windows — but only the filters wired to a flipped bit are measured.
     if (owner_.bank_ && !owner_.bank_->trial_feasible(flips)) return false;
+    if (owner_.equality_filters_.empty()) return true;
     for (const auto& touched : owner_.eq_incidence_.group(flips)) {
       if (!owner_.equality_filters_[touched.filter].trial_satisfied(
               touched.locals)) {
@@ -135,12 +126,15 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
 
   void commit(const anneal::Move& m) override {
     const auto flips = m.indices();
-    apply_totals(flips);
     if (hardware()) {
       if (owner_.bank_) owner_.bank_->apply(flips);
-      for (const auto& touched : owner_.eq_incidence_.group(flips)) {
-        owner_.equality_filters_[touched.filter].apply(touched.locals);
+      if (!owner_.equality_filters_.empty()) {
+        for (const auto& touched : owner_.eq_incidence_.group(flips)) {
+          owner_.equality_filters_[touched.filter].apply(touched.locals);
+        }
       }
+    } else {
+      apply_totals(flips);
     }
     if (circuit()) {
       owner_.engine_->apply(flips);
@@ -281,6 +275,23 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
     }
   }
 
+  /// Recomputes the tracked constraint totals and violation counts of `x`
+  /// (software filter mode, the only reader).
+  void reset_totals(const qubo::BitVector& x) {
+    const auto& cs = owner_.form().constraints;
+    violated_ = 0;
+    for (std::size_t c = 0; c < cs.size(); ++c) {
+      totals_[c] = constraint_total(cs[c], x);
+      if (totals_[c] > cs[c].capacity) ++violated_;
+    }
+    const auto& es = owner_.form().equalities;
+    eq_violated_ = 0;
+    for (std::size_t c = 0; c < es.size(); ++c) {
+      eq_totals_[c] = constraint_total(es[c], x);
+      if (eq_totals_[c] != es[c].capacity) ++eq_violated_;
+    }
+  }
+
   /// Updates the tracked constraint totals (and violation counts) for a
   /// committed move — only the incident constraints change.
   void apply_totals(std::span<const std::size_t> flips) {
@@ -316,6 +327,7 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
   /// Ideal/quantized energy path; built by the first reset() (never in
   /// kCircuit fidelity, where the VMV engine's bound state serves).
   std::optional<qubo::IncrementalEvaluator> eval_;
+  // Software filter mode only: the state's constraint totals.
   std::vector<long long> totals_;
   std::vector<long long> eq_totals_;
   std::size_t violated_ = 0;     ///< inequality rows the current state breaks

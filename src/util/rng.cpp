@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cassert>
 #include <cmath>
 
 namespace hycim::util {
@@ -27,12 +26,6 @@ Rng fork_stream(std::uint64_t root_seed, std::uint64_t stream_id) {
   return Rng(fork_seed(root_seed, stream_id));
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   // xoshiro256** must not start from the all-zero state; splitmix64 seeding
   // guarantees that with overwhelming probability, and we guard regardless.
@@ -43,34 +36,7 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % span);
-  std::uint64_t r = next_u64();
-  while (r >= limit) r = next_u64();
-  return lo + static_cast<std::int64_t>(r % span);
-}
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
@@ -100,12 +66,6 @@ std::vector<std::uint8_t> Rng::random_bits(std::size_t n, double p) {
   std::vector<std::uint8_t> bits(n);
   for (auto& b : bits) b = bernoulli(p) ? 1 : 0;
   return bits;
-}
-
-std::size_t Rng::index(std::size_t n) {
-  assert(n > 0);
-  return static_cast<std::size_t>(
-      uniform_int(0, static_cast<std::int64_t>(n) - 1));
 }
 
 }  // namespace hycim::util

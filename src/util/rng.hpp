@@ -9,6 +9,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -91,5 +93,45 @@ class Rng {
   double spare_gaussian_ = 0.0;
   bool has_spare_ = false;
 };
+
+// The draws the SA proposal loop makes are defined inline so they compile
+// into it.
+
+inline std::uint64_t Rng::next_u64() {
+  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+  const std::uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = std::rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::uniform() {
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+inline std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
+  assert(lo <= hi);
+  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+  if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
+  // Rejection sampling to avoid modulo bias: draws at or above `limit`, the
+  // top of the largest whole multiple of span, are redrawn.  limit is at
+  // least 2^64 − span, so only a draw that high needs it computed.
+  std::uint64_t r = next_u64();
+  if (r >= std::uint64_t{0} - span) {
+    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % span);
+    while (r >= limit) r = next_u64();
+  }
+  return lo + static_cast<std::int64_t>(r % span);
+}
+
+inline std::size_t Rng::index(std::size_t n) {
+  assert(n > 0);
+  return static_cast<std::size_t>(
+      uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
 
 }  // namespace hycim::util

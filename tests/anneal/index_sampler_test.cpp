@@ -1,8 +1,7 @@
-// The Fenwick order-statistics sampler behind SA swap proposals: k-th
-// set/cleared index queries must match the ascending ones/zeros lists the
-// engine used to rebuild per proposal (that equality is what keeps walks
-// bit-identical across the O(n) -> O(log n) change), under arbitrary
-// interleaved flips.
+// The order-statistics sampler behind SA swap proposals: k-th set/cleared
+// index queries must match the ascending ones/zeros lists the engine used
+// to rebuild per proposal (that equality is what keeps walks bit-identical
+// to the rebuild implementation), under arbitrary interleaved flips.
 #include "anneal/index_sampler.hpp"
 
 #include <gtest/gtest.h>
@@ -61,6 +60,41 @@ TEST(IndexSampler, StaysInSyncThroughRandomFlips) {
     EXPECT_EQ(sampler.test(i), x[i] != 0);
   }
   expect_matches_naive(sampler, x);
+}
+
+// Long walks across word-size boundaries and up to the largest suite
+// size: after every flip the maintained lists equal lists built afresh
+// from the configuration.
+TEST(IndexSampler, LongFlipWalksMatchFreshlyBuiltLists) {
+  util::Rng rng(3);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 100u, 1600u}) {
+    auto x = rng.random_bits(n, 0.5);
+    IndexSampler sampler;
+    sampler.reset(x);
+    const int steps = n < 100 ? 4000 : 1500;
+    for (int step = 0; step < steps; ++step) {
+      const std::size_t i = rng.index(n);
+      x[i] ^= 1;
+      sampler.flip(i);
+      ASSERT_EQ(sampler.test(i), x[i] != 0) << "n=" << n << " step " << step;
+      const auto ones = naive_indices(x, true);
+      const auto zeros = naive_indices(x, false);
+      ASSERT_EQ(sampler.ones(), ones.size()) << "n=" << n;
+      ASSERT_EQ(sampler.zeros(), zeros.size()) << "n=" << n;
+      // A random probe of each list every step, the full lists now and
+      // then (a full check per step would be quadratic at n=1600).
+      if (!ones.empty()) {
+        const std::size_t k = rng.index(ones.size());
+        ASSERT_EQ(sampler.kth_one(k), ones[k]) << "n=" << n << " k=" << k;
+      }
+      if (!zeros.empty()) {
+        const std::size_t k = rng.index(zeros.size());
+        ASSERT_EQ(sampler.kth_zero(k), zeros[k]) << "n=" << n << " k=" << k;
+      }
+      if (step % 97 == 0) expect_matches_naive(sampler, x);
+    }
+    expect_matches_naive(sampler, x);
+  }
 }
 
 TEST(IndexSampler, AllOnesAndAllZerosEdges) {

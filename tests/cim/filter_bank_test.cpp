@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "cim/filter/incidence.hpp"
 #include "util/rng.hpp"
 
 namespace hycim::cim {
@@ -132,6 +139,107 @@ TEST(FilterBank, NoisyCornersClassifyOffBoundary) {
     EXPECT_EQ(bank.is_feasible(x), bank.exact_feasible(x));
   }
   EXPECT_GE(checked, 30);
+}
+
+// --- VariableIncidence::group ---------------------------------------------
+// group() merges the flipped variables' incidence runs.  The reference is
+// the grouping it replaced: copy every flipped variable's (filter, local)
+// entries in flip order, stable-sort them by filter with an insertion sort,
+// and cut one group per filter.
+
+using Grouping = std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>>;
+
+Grouping reference_group(std::span<const std::vector<std::uint32_t>> supports,
+                         std::span<const std::size_t> flips) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;
+  for (const std::size_t k : flips) {
+    for (std::uint32_t f = 0; f < supports.size(); ++f) {
+      const auto& support = supports[f];
+      const auto it = std::lower_bound(support.begin(), support.end(),
+                                       static_cast<std::uint32_t>(k));
+      if (it != support.end() && *it == k) {
+        entries.push_back(
+            {f, static_cast<std::uint32_t>(it - support.begin())});
+      }
+    }
+  }
+  for (std::size_t s = 1; s < entries.size(); ++s) {
+    const auto entry = entries[s];
+    std::size_t t = s;
+    while (t > 0 && entries[t - 1].first > entry.first) {
+      entries[t] = entries[t - 1];
+      --t;
+    }
+    entries[t] = entry;
+  }
+  Grouping out;
+  for (const auto& [filter, local] : entries) {
+    if (out.empty() || out.back().first != filter) out.push_back({filter, {}});
+    out.back().second.push_back(local);
+  }
+  return out;
+}
+
+Grouping grouped(const VariableIncidence& incidence,
+                 std::span<const std::size_t> flips) {
+  Grouping out;
+  for (const auto& touched : incidence.group(flips)) {
+    out.push_back({touched.filter,
+                   {touched.locals.begin(), touched.locals.end()}});
+  }
+  return out;
+}
+
+TEST(VariableIncidence, GroupMatchesCopyAndSortReferenceOnRandomSupports) {
+  util::Rng rng(12);
+  for (int instance = 0; instance < 20; ++instance) {
+    const std::size_t n = 1 + rng.index(40);
+    const std::size_t filters = 1 + rng.index(12);
+    std::vector<std::vector<std::uint32_t>> supports(filters);
+    for (auto& support : supports) {
+      const double density = rng.uniform();
+      for (std::uint32_t k = 0; k < n; ++k) {
+        if (rng.uniform() < density) support.push_back(k);
+      }
+    }
+    const VariableIncidence incidence(supports, n);
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<std::size_t> flips(1 + rng.index(3));
+      for (auto& k : flips) k = rng.index(n);
+      ASSERT_EQ(grouped(incidence, flips), reference_group(supports, flips))
+          << "instance " << instance << " trial " << trial;
+    }
+  }
+}
+
+TEST(VariableIncidence, SharedFiltersKeepFlipOrderWithinEachFilter) {
+  // Variable 2 is wired into every filter; variables 0 and 4 share filters
+  // 1 and 3 with it and with each other.
+  const std::vector<std::vector<std::uint32_t>> supports{
+      {2, 3}, {0, 2, 4}, {1, 2}, {0, 2, 4}, {2}};
+  const VariableIncidence incidence(supports, 5);
+  for (const auto& flips : std::vector<std::vector<std::size_t>>{
+           {2}, {0, 4}, {4, 0}, {2, 4}, {4, 2}, {0, 2}, {1, 3}, {3, 1},
+           {2, 2}}) {
+    EXPECT_EQ(grouped(incidence, flips), reference_group(supports, flips));
+  }
+  const std::array<std::size_t, 2> swap{4, 0};
+  const auto touched = incidence.group(swap);
+  ASSERT_EQ(touched.size(), 2u);
+  EXPECT_EQ(touched[0].filter, 1u);
+  EXPECT_EQ(std::vector<std::size_t>(touched[0].locals.begin(),
+                                     touched[0].locals.end()),
+            (std::vector<std::size_t>{2, 0}));
+  EXPECT_EQ(touched[1].filter, 3u);
+}
+
+TEST(VariableIncidence, UnwiredFlipsTouchNothingAndOutOfRangeThrows) {
+  const std::vector<std::vector<std::uint32_t>> supports{{1}, {1, 2}};
+  const VariableIncidence incidence(supports, 4);
+  const std::array<std::size_t, 2> unwired{0, 3};
+  EXPECT_TRUE(incidence.group(unwired).empty());
+  const std::array<std::size_t, 1> bad{4};
+  EXPECT_THROW(incidence.group(bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <span>
 
 #include "cim/crossbar/vmv_engine.hpp"
 #include "cim/filter/equality_filter.hpp"
@@ -86,6 +87,37 @@ TEST(FilterArrayBoundState, ApplyTracksFullEvaluationOverLongSequences) {
     x[k] ^= 1;
     ASSERT_NEAR(array.bound_voltage(), array.evaluate(x), kVoltTol)
         << "step " << step;
+  }
+  EXPECT_EQ(array.bound_input(), x);
+}
+
+// The one-pass trial makes, per phase, exactly the adds apply() makes, in
+// the same order, so a trial's voltage is the voltage the bound state
+// settles to once the move commits — equal, not merely near.  The one
+// exception is the commit that triggers the periodic exact re-aggregation,
+// which re-sums from scratch.
+TEST(FilterArrayBoundState, TrialBitIdenticalToBoundVoltageAfterApply) {
+  device::VariationModel fab({}, 16);
+  util::Rng rng(4);
+  std::vector<long long> weights(40);
+  for (auto& w : weights) w = rng.uniform_int(1, 64);
+  FilterArray array(FilterArrayParams{}, weights, fab);
+  auto x = random_bits(rng, weights.size());
+  array.bind(x);
+  for (std::size_t step = 1; step <= 400; ++step) {
+    const std::size_t i = rng.index(weights.size());
+    std::size_t j = rng.index(weights.size() - 1);
+    if (j >= i) ++j;
+    const std::array<std::size_t, 2> pair{i, j};
+    const std::span<const std::size_t> flips(pair.data(), 1 + step % 2);
+    const double trial = array.trial(flips);
+    array.apply(flips);
+    for (const std::size_t k : flips) x[k] ^= 1;
+    if (step % FilterArray::kRebindInterval == 0) {
+      ASSERT_NEAR(trial, array.bound_voltage(), kVoltTol) << "step " << step;
+    } else {
+      ASSERT_EQ(trial, array.bound_voltage()) << "step " << step;
+    }
   }
   EXPECT_EQ(array.bound_input(), x);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace hycim::cop {
 namespace {
@@ -68,6 +70,53 @@ TEST(FirstFitDecreasing, RespectsLowerBound) {
 
 TEST(Generator, ItemLargerThanBinThrows) {
   EXPECT_THROW(generate_bin_packing(5, 10, 20, 1), std::invalid_argument);
+}
+
+// validate() throws std::invalid_argument whose message names the field.
+void expect_invalid(const BinPackingInstance& inst, const std::string& field) {
+  try {
+    inst.validate();
+    ADD_FAILURE() << "expected invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BinPackingValidate, AcceptsWellFormedInstances) {
+  EXPECT_NO_THROW(tiny().validate());
+  EXPECT_NO_THROW(generate_bin_packing(30, 25, 12, 3).validate());
+  auto inst = tiny();
+  inst.item_sizes.push_back(0);   // an empty item fits anywhere
+  inst.item_sizes.push_back(10);  // exactly one bin's capacity
+  inst.max_bins = 3;
+  EXPECT_NO_THROW(inst.validate());
+}
+
+TEST(BinPackingValidate, RejectsItemLargerThanBin) {
+  auto inst = tiny();
+  inst.item_sizes[1] = 11;
+  expect_invalid(inst, "item_sizes[1]");
+}
+
+TEST(BinPackingValidate, RejectsNegativeItem) {
+  auto inst = tiny();
+  inst.item_sizes[2] = -3;
+  expect_invalid(inst, "item_sizes[2]");
+}
+
+TEST(BinPackingValidate, RejectsNonPositiveCapacity) {
+  auto inst = tiny();
+  inst.bin_capacity = 0;
+  expect_invalid(inst, "bin_capacity");
+  inst.bin_capacity = -5;
+  expect_invalid(inst, "bin_capacity");
+}
+
+TEST(BinPackingValidate, RejectsMaxBinsBelowFirstFitDecreasing) {
+  auto inst = tiny();  // FFD packs {6, 4} and {5}: two bins
+  inst.max_bins = 1;
+  expect_invalid(inst, "max_bins");
 }
 
 TEST(Generator, Deterministic) {

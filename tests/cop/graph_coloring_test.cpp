@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace hycim::cop {
 namespace {
 
@@ -55,6 +58,42 @@ TEST(Coloring, ViolationCounting) {
 TEST(Coloring, NumVariables) {
   const auto g = generate_coloring(7, 0.3, 3, 1);
   EXPECT_EQ(g.num_variables(), 21u);
+}
+
+// validate() throws std::invalid_argument whose message names the field.
+void expect_invalid(const ColoringInstance& g, const std::string& field) {
+  try {
+    g.validate();
+    ADD_FAILURE() << "expected invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ColoringValidate, AcceptsWellFormedInstances) {
+  EXPECT_NO_THROW(path3().validate());
+  EXPECT_NO_THROW(generate_coloring(10, 0.5, 3, 9).validate());
+  EXPECT_NO_THROW(ColoringInstance{}.validate());  // empty graph
+}
+
+TEST(ColoringValidate, RejectsEndpointOutOfRange) {
+  auto g = path3();
+  g.edges.push_back({1, 3});
+  expect_invalid(g, "edges[2]");
+  expect_invalid(g, "num_vertices");
+}
+
+TEST(ColoringValidate, RejectsSelfLoop) {
+  auto g = path3();
+  g.edges.insert(g.edges.begin(), {2, 2});
+  expect_invalid(g, "edges[0]");
+}
+
+TEST(ColoringValidate, RejectsZeroColors) {
+  auto g = path3();
+  g.num_colors = 0;
+  expect_invalid(g, "num_colors");
 }
 
 TEST(Coloring, GeneratorDeterministic) {

@@ -203,9 +203,8 @@ TEST(AllocationFree, BatchedReplicaSteadyState) {
 TEST(AllocationFree, IncidenceGroupingSteadyState) {
   // The constrained proposal path routes every move through
   // VariableIncidence::group; after one warmup call its scratch vectors
-  // hold their capacity, and the in-place insertion sort (not
-  // std::stable_sort, which buys a merge buffer per call) keeps the loop
-  // allocation-free.
+  // hold their capacity, and merging the flips' incidence runs in place
+  // (no sort buffer) keeps the loop allocation-free.
   std::vector<std::vector<std::uint32_t>> supports = {
       {0, 1, 2, 3, 4, 5, 6, 7}, {2, 3, 6, 9}, {0, 4, 8, 9}, {1, 5, 7, 8}};
   cim::VariableIncidence incidence(supports, 10);

@@ -10,6 +10,7 @@
 #include <future>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,8 @@
 
 #include "core/thread_budget.hpp"
 #include "cop/adapters.hpp"
+#include "cop/bin_packing.hpp"
+#include "cop/graph_coloring.hpp"
 #include "cop/maxcut.hpp"
 #include "runtime/batch_runner.hpp"
 #include "service/request_hash.hpp"
@@ -394,11 +397,27 @@ TEST(Service, RejectsDegenerateRequests) {
 // out of solve() and an exception in submit()'s future, the same contract
 // as an empty form.  Before validation these read out of bounds or served
 // a garbage kOk reply.
-void expect_invalid_instance(const Request& request) {
+// With `field` given, both exceptions' messages must name it.
+void expect_invalid_instance(const Request& request,
+                             const std::string& field = "") {
   Service service;
-  EXPECT_THROW(service.solve(request), std::invalid_argument);
+  const auto names_field = [&](const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  };
+  try {
+    service.solve(request);
+    ADD_FAILURE() << "solve() accepted a malformed instance";
+  } catch (const std::invalid_argument& e) {
+    names_field(e);
+  }
   auto future = service.submit(request);
-  EXPECT_THROW(future.get(), std::invalid_argument);
+  try {
+    future.get();
+    ADD_FAILURE() << "submit() accepted a malformed instance";
+  } catch (const std::invalid_argument& e) {
+    names_field(e);
+  }
 }
 
 Request maxcut_request(double bad_weight) {
@@ -425,6 +444,72 @@ TEST(Service, RejectsMaxCutWithNanWeight) {
 TEST(Service, RejectsMaxCutWithInfiniteWeight) {
   expect_invalid_instance(
       maxcut_request(std::numeric_limits<double>::infinity()));
+}
+
+// Bin packing and coloring probes that, before their validators, threw
+// from deep inside the lowering or returned a kOk reply for a nonsensical
+// instance.
+Request bin_packing_request(void (*corrupt)(cop::BinPackingInstance&)) {
+  cop::BinPackingInstance inst = cop::generate_bin_packing(6, 10, 6, 3);
+  corrupt(inst);
+  Request request;
+  request.instance = inst;
+  request.config.sa.iterations = 100;
+  request.batch.restarts = 2;
+  return request;
+}
+
+Request coloring_request(void (*corrupt)(cop::ColoringInstance&)) {
+  cop::ColoringInstance graph = cop::generate_coloring(6, 0.5, 3, 5);
+  corrupt(graph);
+  Request request;
+  request.instance = graph;
+  request.config.sa.iterations = 100;
+  request.batch.restarts = 2;
+  return request;
+}
+
+TEST(Service, RejectsColoringEdgeEndpointOutOfRange) {
+  expect_invalid_instance(
+      coloring_request([](cop::ColoringInstance& g) {
+        g.edges.push_back({0, g.num_vertices});
+      }),
+      "num_vertices");
+}
+
+TEST(Service, RejectsColoringSelfLoop) {
+  expect_invalid_instance(coloring_request([](cop::ColoringInstance& g) {
+                            g.edges.push_back({1, 1});
+                          }),
+                          "self-loop");
+}
+
+TEST(Service, RejectsBinPackingItemLargerThanBin) {
+  expect_invalid_instance(bin_packing_request([](cop::BinPackingInstance& b) {
+                            b.item_sizes[0] = b.bin_capacity + 1;
+                          }),
+                          "item_sizes[0]");
+}
+
+TEST(Service, RejectsBinPackingZeroCapacity) {
+  expect_invalid_instance(bin_packing_request([](cop::BinPackingInstance& b) {
+                            b.bin_capacity = 0;
+                          }),
+                          "bin_capacity");
+}
+
+TEST(Service, RejectsBinPackingMaxBinsBelowFirstFitDecreasing) {
+  expect_invalid_instance(bin_packing_request([](cop::BinPackingInstance& b) {
+                            b.max_bins -= 1;
+                          }),
+                          "max_bins");
+}
+
+TEST(Service, RejectsBinPackingNegativeItem) {
+  expect_invalid_instance(bin_packing_request([](cop::BinPackingInstance& b) {
+                            b.item_sizes[2] = -1;
+                          }),
+                          "item_sizes[2]");
 }
 
 TEST(Service, PendingSubmissionsCompleteThroughShutdown) {

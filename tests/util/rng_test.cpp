@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace hycim::util {
 namespace {
@@ -101,6 +103,31 @@ TEST(Rng, UniformIntIsUnbiased) {
   const int n = 40000;
   for (int i = 0; i < n; ++i) counts[static_cast<std::size_t>(r.uniform_int(0, 3))]++;
   for (int c : counts) EXPECT_NEAR(c, n / 4, n / 40);
+}
+
+// uniform_int computes its rejection limit only for draws that could
+// reach it; the draws must equal the form that computes it every time.
+// Spans near 2^63 make about a quarter of the raw draws land in the
+// rejection zone, so both branches run.
+TEST(Rng, UniformIntMatchesAlwaysComputedRejectionLimit) {
+  const auto reference = [](Rng& raw, std::int64_t lo, std::int64_t hi) {
+    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % span);
+    std::uint64_t r = raw.next_u64();
+    while (r >= limit) r = raw.next_u64();
+    return lo + static_cast<std::int64_t>(r % span);
+  };
+  const std::int64_t big = std::int64_t{1} << 62;
+  for (const auto& [lo, hi] : std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {0, 0}, {0, 1}, {0, 99}, {-7, 1599}, {0, big}, {-big, big},
+           {0, big + big / 2}}) {
+    Rng fast(21);
+    Rng raw(21);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(fast.uniform_int(lo, hi), reference(raw, lo, hi))
+          << "[" << lo << ", " << hi << "] draw " << i;
+    }
+  }
 }
 
 TEST(Rng, BernoulliRespectsProbability) {
