@@ -655,6 +655,30 @@ void BM_PoolDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolDispatch);
 
+void BM_NestedSaturatedDispatch(benchmark::State& state) {
+  // A tempering ladder's barrier shape at width 2: two top-level tasks hold
+  // both slots of their tree, and each makes a run of nested 4-task fans
+  // that no helper can join.  Items are nested fans (items_per_second =
+  // fans per second).
+  constexpr std::size_t kNestedFans = 64;
+  runtime::ExecutorPool pool(kFanWidth);
+  std::atomic<std::size_t> sink{0};
+  const anneal::Task leaf = [&](std::size_t i) {
+    sink.fetch_add(i, std::memory_order_relaxed);
+  };
+  const anneal::Task top = [&](std::size_t) {
+    for (std::size_t fan = 0; fan < kNestedFans; ++fan) pool.run(4, leaf);
+  };
+  pool.run(kFanTasks, leaf, kFanWidth);  // warm the worker set
+  for (auto _ : state) {
+    pool.run(2, top, /*width=*/2);
+  }
+  benchmark::DoNotOptimize(sink.load());
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<std::int64_t>(kNestedFans));
+}
+BENCHMARK(BM_NestedSaturatedDispatch);
+
 void BM_QuantizedEnergy(benchmark::State& state) {
   const auto inst = instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);

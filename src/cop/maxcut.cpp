@@ -16,6 +16,7 @@ double MaxCutInstance::cut_value(std::span<const std::uint8_t> x) const {
 }
 
 void MaxCutInstance::validate() const {
+  double magnitude = 0.0;
   for (const auto& e : edges) {
     if (e.u >= num_vertices || e.v >= num_vertices) {
       throw std::invalid_argument("MaxCut: edge endpoint out of range");
@@ -24,6 +25,15 @@ void MaxCutInstance::validate() const {
     if (!std::isfinite(e.weight)) {
       throw std::invalid_argument("MaxCut: non-finite edge weight");
     }
+    magnitude += std::abs(e.weight);
+  }
+  // Finite weights can still overflow the QUBO: the lowering doubles each
+  // weight into a coupling, and any energy or local field is bounded by
+  // 4·Σ|weight|.
+  if (!std::isfinite(4.0 * magnitude)) {
+    throw std::invalid_argument(
+        "MaxCut: edge weights too large (4 x the sum of |weight| is not "
+        "finite, so QUBO energies would overflow)");
   }
 }
 

@@ -29,8 +29,8 @@ struct MaxCutInstance {
   /// Total weight of edges crossing the partition encoded by x (x[i] is the
   /// side of vertex i).
   double cut_value(std::span<const std::uint8_t> x) const;
-  /// Validates the edges; throws on out-of-range endpoints, self-loops and
-  /// non-finite weights.
+  /// Validates the edges; throws on out-of-range endpoints, self-loops,
+  /// non-finite weights, and weights whose QUBO energies could overflow.
   void validate() const;
 };
 

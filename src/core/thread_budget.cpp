@@ -22,15 +22,23 @@ unsigned env_budget() {
   return parsed;
 }
 
+unsigned hardware_budget() {
+  // Read once: glibc answers hardware_concurrency() by reading
+  // /sys/devices/system/cpu/online (~2 us), and the budget is resolved on
+  // every dispatch and every service request.
+  static const unsigned cores = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1u : n;  // exotic hosts may report 0
+  }();
+  return cores;
+}
+
 }  // namespace
 
 unsigned thread_budget() {
   unsigned budget = g_budget.load(std::memory_order_relaxed);
   if (budget == 0) budget = env_budget();
-  if (budget == 0) {
-    budget = std::thread::hardware_concurrency();
-    if (budget == 0) budget = 1;  // exotic hosts may report 0
-  }
+  if (budget == 0) budget = hardware_budget();
   return budget;
 }
 

@@ -99,7 +99,8 @@ class IncrementalEvaluator {
   /// O(degree(k)) sparse.
   void flip(std::size_t k);
 
-  /// Flips bits i and j (i != j).  Two flips.
+  /// Flips bits i and j (i != j); bit-identical to flip(i); flip(j).  One
+  /// O(n) pass dense, two O(degree) walks sparse.
   void flip_pair(std::size_t i, std::size_t j);
 
   /// Replaces the whole assignment and recomputes the fields — O(n²)

@@ -142,6 +142,16 @@ struct ExecutorPool::Impl {
     }
   }
 
+  /// Executes tasks 0..count-1 in order on the calling thread under its
+  /// current ambient budget.  A throw propagates and skips the rest.
+  void run_inline(std::size_t count, const anneal::Task& task) {
+    inline_runs.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < count; ++i) {
+      task(i);
+      tasks_executed.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
   /// Marks one task index finished; the last one wakes the joining caller.
   static void complete_index(TaskGroup& group) {
     if (group.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -419,19 +429,30 @@ void ExecutorPool::run(std::size_t count, const anneal::Task& task,
 
   // Budget resolution: nested calls (ambient budget set) join their
   // batch's tree and may only narrow its cap; root calls open a new tree.
-  std::shared_ptr<Budget> budget = tl_budget;
-  const bool root = budget == nullptr;
+  Budget* const tree = tl_budget.get();
+  const bool root = tree == nullptr;
   unsigned cap;
   if (root) {
     const unsigned pool_budget = impl.resolved_budget();
     cap = width == 0 ? pool_budget : std::min(width, pool_budget);
-    if (cap == 0) cap = 1;
-    budget = std::make_shared<Budget>();
-    budget->limit = cap;
   } else {
-    cap = width == 0 ? budget->limit
-                     : std::min(width, budget->limit);
-    if (cap == 0) cap = 1;
+    cap = width == 0 ? tree->limit : std::min(width, tree->limit);
+  }
+  if (cap == 0) cap = 1;
+
+  // A nested fan that cannot gain a thread runs inline on the caller under
+  // its tree's own budget: a single task, or a tree with no free slot
+  // (every slot held, e.g. by the two restarts of a width-2 ladder, so a
+  // dispatch would only wake workers that fail the budget and park again).
+  // A serial tree is always full.  No group, no token, no wake-up; the
+  // next nested call re-checks, so a slot freed meanwhile is still used at
+  // the next barrier.  A width-1 narrowing of a wider tree is not this
+  // case: it installs its own serial budget below.
+  if (!root && (cap > 1 || tree->limit <= 1) &&
+      (count == 1 ||
+       tree->active.load(std::memory_order_relaxed) >= tree->limit)) {
+    impl.run_inline(count, task);
+    return;
   }
 
   // Serial subtree: run inline on the caller with a width-1 ambient
@@ -442,36 +463,34 @@ void ExecutorPool::run(std::size_t count, const anneal::Task& task,
     serial->limit = 1;
     serial->active.store(1, std::memory_order_relaxed);
     ScopedAmbient ambient(std::move(serial));
-    impl.inline_runs.fetch_add(1, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < count; ++i) {
-      task(i);
-      impl.tasks_executed.fetch_add(1, std::memory_order_relaxed);
-    }
+    impl.run_inline(count, task);
     return;
   }
 
-  // Single task: execute inline, but under the full-width ambient budget
-  // (a size-1 fan spawns nothing at THIS level; its children may still
-  // fan out across the tree's remaining slots).
+  std::shared_ptr<Budget> budget = tl_budget;
+  if (root) {
+    budget = std::make_shared<Budget>();
+    budget->limit = cap;
+  }
+
+  // Root single task: execute inline, but under the full-width ambient
+  // budget (a size-1 fan spawns nothing at THIS level; its children may
+  // still fan out across the tree's remaining slots).
   if (count == 1) {
-    if (root) budget->active.fetch_add(1, std::memory_order_relaxed);
+    budget->active.fetch_add(1, std::memory_order_relaxed);
     ScopedAmbient ambient(budget);
     impl.inline_runs.fetch_add(1, std::memory_order_relaxed);
     try {
       task(0);
     } catch (...) {
-      if (root) {
-        budget->active.fetch_sub(1, std::memory_order_relaxed);
-        impl.bump_epoch();
-      }
+      budget->active.fetch_sub(1, std::memory_order_relaxed);
+      impl.bump_epoch();
       impl.tasks_executed.fetch_add(1, std::memory_order_relaxed);
       throw;
     }
     impl.tasks_executed.fetch_add(1, std::memory_order_relaxed);
-    if (root) {
-      budget->active.fetch_sub(1, std::memory_order_relaxed);
-      impl.bump_epoch();
-    }
+    budget->active.fetch_sub(1, std::memory_order_relaxed);
+    impl.bump_epoch();
     return;
   }
 

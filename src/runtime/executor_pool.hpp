@@ -22,7 +22,13 @@
 //     group joins the *ambient budget* of its batch, so a tempered batch
 //     of R-replica runs exposes runs×R-way parallelism while the whole
 //     tree still respects one width cap (BatchParams::threads budgets the
-//     tree, not one level);
+//     tree, not one level).  A nested group that cannot gain a thread —
+//     one task, or a tree whose every slot is already held (a width-2
+//     ladder's two restarts, an archipelago's two island threads) — runs
+//     inline on its caller under the same budget: no group, no token, no
+//     worker wake-up.  The check repeats at every nested call (every
+//     exchange or migration barrier), so a slot that frees is used at the
+//     next one;
 //   * idle parking: workers with nothing claimable park on a condition
 //     variable and wake on new tokens, budget-slot releases, or shutdown;
 //   * observability: dispatch/steal/task/park counters, queue depth, and
@@ -91,8 +97,9 @@ class ExecutorPool {
   /// Fork-join: executes tasks 0..count-1, each exactly once, and returns
   /// after all have completed; the first task exception is rethrown after
   /// the join (remaining tasks are skipped).  The calling thread
-  /// participates, so count == 1 or an effective width of 1 runs inline
-  /// with no queue traffic and no thread spawns.
+  /// participates, so count == 1, an effective width of 1, or a nested
+  /// call whose task tree has no free slot runs inline with no queue
+  /// traffic and no thread spawns.
   ///
   /// `width` caps how many threads execute this group concurrently
   /// (0 = the pool budget).  Called from inside a pool task, the group

@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -40,6 +41,22 @@ Reply status_reply(core::SolveStatus status, std::string message) {
   reply.message = std::move(message);
   reply.attempts = 0;
   return reply;
+}
+
+/// The backstop for every instance kind: a solve whose best energy or
+/// scored value is not finite (finite coefficients whose sums overflow) is
+/// no answer, so it is served as kFaulted, never kOk.
+void fault_if_non_finite(Reply& reply) {
+  if (reply.batch.best_x.empty() ||
+      (std::isfinite(reply.batch.best_energy) &&
+       std::isfinite(reply.problem.value))) {
+    return;
+  }
+  reply.status = core::merge_status(reply.status, core::SolveStatus::kFaulted);
+  reply.message = "non-finite result (best_energy " +
+                  std::to_string(reply.batch.best_energy) + ", value " +
+                  std::to_string(reply.problem.value) +
+                  "): the instance's coefficients overflow double arithmetic";
 }
 
 /// Capped exponential backoff for retry `attempt` (1-based) with
@@ -534,6 +551,7 @@ Reply Service::attempt_solve(const Request& request,
   if (!reply.batch.best_x.empty()) {
     reply.problem = lowered.score(reply.batch.best_x);
   }
+  fault_if_non_finite(reply);
   reply.chip_key = key.lo;
   return reply;
 }
@@ -568,6 +586,7 @@ Reply Service::solve_form(const core::ConstrainedQuboForm& form,
   reply.problem.value = reply.batch.best_energy;
   reply.problem.feasible =
       !reply.batch.best_x.empty() && form.feasible(reply.batch.best_x);
+  fault_if_non_finite(reply);
   reply.chip_key = key.lo;
   return reply;
 }

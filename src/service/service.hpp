@@ -193,7 +193,8 @@ struct Reply {
   /// How this request ended (severity-max over its lifecycle): kOk, or
   /// kDegraded (hardware→software fallback), kDeadlineExceeded /
   /// kCancelled (partial any-time results — or no results when it never
-  /// started), kFaulted (transient-fault retry budget exhausted),
+  /// started), kFaulted (transient-fault retry budget exhausted, or a
+  /// non-finite best energy or value),
   /// kRejected (admission control / shutdown; never ran).
   core::SolveStatus status = core::SolveStatus::kOk;
   /// Human-readable detail for non-kOk statuses (e.g. the fault message).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 namespace hycim::cop {
 namespace {
@@ -47,6 +48,22 @@ TEST(MaxCut, ValidateCatchesBadEdges) {
   EXPECT_THROW(g.validate(), std::invalid_argument);
   g.edges = {{0, 1, -std::numeric_limits<double>::infinity()}};
   EXPECT_THROW(g.validate(), std::invalid_argument);
+  // Finite weights whose QUBO overflows: the lowering's 2·w coupling, and
+  // a sum of magnitudes that is itself infinite.
+  g.edges = {{0, 1, 1e308}};
+  EXPECT_THROW(g.validate(), std::invalid_argument);
+  g.num_vertices = 4;
+  g.edges = {{0, 1, 1.7e308}, {0, 2, 1.7e308}, {0, 3, -1.7e308},
+             {1, 2, 1.7e308}, {1, 3, 1.7e308}};
+  try {
+    g.validate();
+    ADD_FAILURE() << "validate() accepted overflowing weights";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("weight"), std::string::npos)
+        << e.what();
+  }
+  g.edges = {{0, 1, 1e300}, {2, 3, -1e300}};
+  EXPECT_NO_THROW(g.validate());
 }
 
 TEST(MaxCut, GeneratorDeterministicAndSimple) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "util/rng.hpp"
 
 namespace hycim::qubo {
@@ -88,6 +91,43 @@ TEST(IncrementalEvaluator, DoubleFlipIsIdentity) {
   eval.flip(3);
   EXPECT_EQ(eval.state(), x);
   EXPECT_NEAR(eval.energy(), e0, 1e-9);
+}
+
+// The fused dense swap pass must leave exactly what two single flips leave,
+// bit for bit (signed zeros included: a quarter of the couplings are 0).
+TEST(IncrementalEvaluator, FlipPairIsBitIdenticalToTwoFlips) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::size_t n : {2u, 3u, 64u, 65u, 100u}) {
+    util::Rng rng(40 + n);
+    QuboMatrix q = random_qubo(n, rng);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (rng.bernoulli(0.25)) q.set(i, j, 0.0);
+      }
+    }
+    for (const Kernel kernel : {Kernel::kDense, Kernel::kSparse}) {
+      const BitVector x = rng.random_bits(n);
+      IncrementalEvaluator fused(q, x, kernel);
+      IncrementalEvaluator split(q, x, kernel);
+      for (int step = 0; step < 200; ++step) {
+        const auto last = static_cast<std::int64_t>(n) - 1;
+        auto i = static_cast<std::size_t>(rng.uniform_int(0, last));
+        auto j = static_cast<std::size_t>(rng.uniform_int(0, last - 1));
+        if (j >= i) ++j;
+        if (i < j) std::swap(i, j);  // i > j
+        fused.flip_pair(i, j);
+        split.flip(i);
+        split.flip(j);
+        ASSERT_EQ(fused.state(), split.state()) << "n=" << n;
+        EXPECT_EQ(bits(fused.energy()), bits(split.energy()))
+            << "n=" << n << " step " << step;
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(bits(fused.delta(k)), bits(split.delta(k)))
+              << "n=" << n << " step " << step << " bit " << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(IncrementalEvaluator, OffsetIncludedInEnergy) {

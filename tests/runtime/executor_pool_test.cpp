@@ -206,6 +206,112 @@ TEST(ExecutorPool, NestedWidthNarrowsButNeverWidens) {
   EXPECT_LE(peak.load(), 2);
 }
 
+// Counts this thread in and waits (bounded, so a lost wake-up fails the
+// test instead of hanging it) until `n` threads have arrived.
+void rendezvous(std::atomic<int>& arrived, int n) {
+  arrived.fetch_add(1, std::memory_order_acq_rel);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load(std::memory_order_acquire) < n &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+}
+
+/// Holds its top-level task's tree slot until both top tasks have made
+/// their nested call, so each nested call sees the other task's slot taken.
+/// A destructor, so it also holds while an exception unwinds.
+struct HoldUntilBothFanned {
+  std::atomic<int>& fanned;
+  ~HoldUntilBothFanned() { rendezvous(fanned, 2); }
+};
+
+// A width-2 tree whose two top tasks each fan 4 children: both tree slots
+// are held by the top tasks, so no helper could join a nested group.  The
+// nested fans run inline on their parents' threads with no dispatch and
+// no queue traffic, and every task still counts.
+TEST(ExecutorPool, SaturatedNestedFanRunsInlineOnItsParent) {
+  ExecutorPool pool(4);
+  std::atomic<int> started{0};
+  std::atomic<int> fanned{0};
+  std::atomic<int> off_parent{0};
+  std::atomic<int> children{0};
+  pool.run(
+      2,
+      [&](std::size_t) {
+        rendezvous(started, 2);
+        const HoldUntilBothFanned hold{fanned};
+        const std::thread::id parent = std::this_thread::get_id();
+        pool.run(4, [&](std::size_t) {
+          children.fetch_add(1, std::memory_order_relaxed);
+          if (std::this_thread::get_id() != parent) {
+            off_parent.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+      },
+      /*width=*/2);
+  EXPECT_EQ(children.load(), 8);
+  EXPECT_EQ(off_parent.load(), 0);
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.dispatches, 1u);  // the root only
+  EXPECT_EQ(stats.inline_runs, 2u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.tasks_executed, 2u + 8u);
+}
+
+// The same tree at width 4 has free slots, so the nested fans must still
+// be dispatched.  Whichever nested call comes first sees exactly the two
+// top tasks' slots taken (no nested group exists yet), so at least one
+// nested dispatch is certain; the second may find the tree full.
+TEST(ExecutorPool, NestedFanWithAFreeSlotIsDispatched) {
+  ExecutorPool pool(4);
+  std::atomic<int> started{0};
+  std::atomic<int> fanned{0};
+  std::atomic<int> children{0};
+  pool.run(
+      2,
+      [&](std::size_t) {
+        rendezvous(started, 2);
+        const HoldUntilBothFanned hold{fanned};
+        pool.run(4, [&](std::size_t) {
+          children.fetch_add(1, std::memory_order_relaxed);
+        });
+      },
+      /*width=*/4);
+  EXPECT_EQ(children.load(), 8);
+  const PoolStats stats = pool.stats();
+  EXPECT_GE(stats.dispatches, 2u);
+  EXPECT_EQ(stats.tasks_executed, 2u + 8u);
+}
+
+// An exception in an inlined nested task propagates through its parent to
+// the root join, and the inlined fan skips its remaining tasks.
+TEST(ExecutorPool, ExceptionInInlinedNestedFanPropagatesAndSkipsTheRest) {
+  ExecutorPool pool(4);
+  std::atomic<int> started{0};
+  std::atomic<int> fanned{0};
+  std::atomic<int> throwing_fan_ran{0};
+  EXPECT_THROW(pool.run(
+                   2,
+                   [&](std::size_t top) {
+                     rendezvous(started, 2);
+                     const HoldUntilBothFanned hold{fanned};
+                     pool.run(4, [&, top](std::size_t i) {
+                       if (top != 1) return;
+                       throwing_fan_ran.fetch_add(1);
+                       if (i == 1) throw std::runtime_error("child 1");
+                     });
+                   },
+                   /*width=*/2),
+               std::runtime_error);
+  EXPECT_EQ(throwing_fan_ran.load(), 2);  // children 0 and 1; 2, 3 skipped
+  EXPECT_EQ(pool.stats().dispatches, 1u);
+  // The tree's slots were released: the pool still fans out afterwards.
+  std::atomic<int> after{0};
+  pool.run(8, [&](std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 8);
+}
+
 TEST(ExecutorPool, ZeroThreadSpawnsInSteadyState) {
   // The replacement guarantee for the per-call std::thread vectors: after
   // the first parallel dispatch warms the pool, further dispatches

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <mutex>
@@ -444,6 +445,43 @@ TEST(Service, RejectsMaxCutWithNanWeight) {
 TEST(Service, RejectsMaxCutWithInfiniteWeight) {
   expect_invalid_instance(
       maxcut_request(std::numeric_limits<double>::infinity()));
+}
+
+// Finite weights whose sums overflow: five edges of 1e308 on 4 vertices
+// used to be served as kOk with best_energy NaN and value inf.
+TEST(Service, RejectsMaxCutWhoseWeightsOverflow) {
+  cop::MaxCutInstance graph;
+  graph.num_vertices = 4;
+  graph.edges = {{0, 1, 1e308}, {0, 2, 1e308}, {0, 3, 1e308},
+                 {1, 2, 1e308}, {1, 3, 1e308}};
+  Request request;
+  request.instance = graph;
+  request.config.sa.iterations = 100;
+  request.batch.restarts = 2;
+  expect_invalid_instance(request, "weight");
+}
+
+// The backstop for forms no validator covers: finite ±1e308 coefficients
+// whose energies overflow come back kFaulted with a message, not kOk.
+TEST(Service, SolveFormWithOverflowingEnergyIsFaulted) {
+  core::ConstrainedQuboForm form;
+  form.q = qubo::QuboMatrix(4);
+  for (std::size_t i = 0; i < 4; ++i) form.q.add(i, i, -1e308);
+  form.q.add(0, 1, 1e308);
+  form.q.add(2, 3, 1e308);
+  form.constraints.push_back({{1, 1, 1, 1}, 4});
+  core::HyCimConfig config;
+  config.sa.iterations = 200;
+  runtime::BatchParams batch;
+  batch.restarts = 2;
+  const auto init = [](util::Rng&) { return qubo::BitVector(4, 0); };
+
+  Service service;
+  const Reply reply = service.solve_form(form, config, init, batch);
+  EXPECT_FALSE(std::isfinite(reply.problem.value));
+  EXPECT_EQ(reply.status, core::SolveStatus::kFaulted);
+  EXPECT_NE(reply.message.find("non-finite"), std::string::npos)
+      << reply.message;
 }
 
 // Bin packing and coloring probes that, before their validators, threw
