@@ -95,8 +95,21 @@ void QuboReplicaBatch::flip(std::size_t r, std::size_t k) {
 }
 
 void QuboReplicaBatch::commit(std::size_t r, const Move& m) {
-  flip(r, m.bits[0]);
-  if (m.is_swap()) flip(r, m.bits[1]);
+  if (!m.is_swap() || kernel_ == qubo::Kernel::kSparse) {
+    flip(r, m.bits[0]);
+    if (m.is_swap()) flip(r, m.bits[1]);
+    return;
+  }
+  const std::size_t i = m.bits[0];
+  const std::size_t j = m.bits[1];
+  const double si = x_[r][i] ? -1.0 : 1.0;
+  const double sj = x_[r][j] ? -1.0 : 1.0;
+  qubo::kernels::dense_flip_pair(phi(r), energy_[r], rows_->row(i),
+                                 rows_->row(j), n_, i, j, si, sj);
+  x_[r][i] ^= 1;
+  x_[r][j] ^= 1;
+  words_[r].flip(i);
+  words_[r].flip(j);
 }
 
 }  // namespace hycim::anneal

@@ -101,30 +101,14 @@ void IncrementalEvaluator::flip_pair(std::size_t i, std::size_t j) {
     flip(j);
     return;
   }
-  // flip(i); flip(j) fused into one dense pass.  Every field receives the
-  // same two adds in the same order; the flipped bits' own fields take
-  // only the other bit's coupling, as the saved/restored passes leave
-  // them.  The energy takes delta(i), then delta(j) against bit j's field
-  // after flip(i) — bit-identical to the two flips.
   const double si = x_[i] ? -1.0 : 1.0;
   const double sj = x_[j] ? -1.0 : 1.0;
-  const double* row_i = rows_->row(i);
-  const double* row_j = rows_->row(j);
-  const double phi_i = phi_[i];
-  const double phi_j = phi_[j] + si * row_i[j];
-  energy_ += si * phi_i;
-  energy_ += sj * phi_j;
+  kernels::dense_flip_pair(phi_.data(), energy_, rows_->row(i),
+                           rows_->row(j), x_.size(), i, j, si, sj);
   x_[i] ^= 1;
   x_[j] ^= 1;
   words_.flip(i);
   words_.flip(j);
-  double* phi = phi_.data();
-  const std::size_t n = x_.size();
-  for (std::size_t m = 0; m < n; ++m) {
-    phi[m] = (phi[m] + si * row_i[m]) + sj * row_j[m];
-  }
-  phi[i] = phi_i + sj * row_j[i];
-  phi[j] = phi_j;
 }
 
 void IncrementalEvaluator::reset(BitVector x0) {

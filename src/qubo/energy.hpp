@@ -45,6 +45,27 @@ inline void dense_flip(double* phi, const double* row, std::size_t n,
   phi[k] = saved;
 }
 
+/// dense_flip of bit i (sign si) then of bit j (sign sj) fused into one
+/// pass, shared like dense_flip.  Every field receives the same two adds
+/// in the same order; the flipped bits' own fields take only the other
+/// bit's coupling, as the saved/restored passes leave them.  `energy`
+/// takes delta(i), then delta(j) against bit j's field after the first
+/// flip — bit-identical to the two flips.
+inline void dense_flip_pair(double* phi, double& energy, const double* row_i,
+                            const double* row_j, std::size_t n,
+                            std::size_t i, std::size_t j, double si,
+                            double sj) {
+  const double phi_i = phi[i];
+  const double phi_j = phi[j] + si * row_i[j];
+  energy += si * phi_i;
+  energy += sj * phi_j;
+  for (std::size_t m = 0; m < n; ++m) {
+    phi[m] = (phi[m] + si * row_i[m]) + sj * row_j[m];
+  }
+  phi[i] = phi_i + sj * row_j[i];
+  phi[j] = phi_j;
+}
+
 /// The sparse O(degree) flip kernel (PR 5), here for symmetry.
 inline void sparse_flip(double* phi, const NeighborIndex& index,
                         std::size_t k, double sign) {

@@ -30,6 +30,10 @@ struct Budget {
   std::atomic<unsigned> active{0};
 };
 
+bool has_free_slot(const Budget& budget) {
+  return budget.active.load(std::memory_order_relaxed) < budget.limit;
+}
+
 /// One fork-join dispatch: `count` task indices claimed lock-free by up to
 /// `cap` concurrent participants.  Tokens in the deques are shared_ptrs to
 /// this, so a stale token (group already drained) is harmless to pop late.
@@ -142,15 +146,24 @@ struct ExecutorPool::Impl {
     }
   }
 
-  /// Executes tasks 0..count-1 in order on the calling thread under its
-  /// current ambient budget.  A throw propagates and skips the rest.
-  void run_inline(std::size_t count, const anneal::Task& task) {
-    inline_runs.fetch_add(1, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < count; ++i) {
-      task(i);
+  /// Executes task `index` on the calling thread; counted even if it
+  /// throws, as claim_loop counts a failing task.
+  void run_one(const anneal::Task& task, std::size_t index) {
+    try {
+      task(index);
+    } catch (...) {
       tasks_executed.fetch_add(1, std::memory_order_relaxed);
+      throw;
     }
+    tasks_executed.fetch_add(1, std::memory_order_relaxed);
   }
+
+  /// Parallel fork-join of `count` tasks: the caller claims indices
+  /// alongside up to `cap` - 1 helpers drawn from `budget`.  A root call
+  /// holds one slot of its fresh budget for the caller; a nested caller
+  /// already holds one.  Rethrows the first failure after the join.
+  void fork_join(std::size_t count, const anneal::Task& task, unsigned cap,
+                 std::shared_ptr<Budget> budget, bool root);
 
   /// Marks one task index finished; the last one wakes the joining caller.
   static void complete_index(TaskGroup& group) {
@@ -444,14 +457,22 @@ void ExecutorPool::run(std::size_t count, const anneal::Task& task,
   // its tree's own budget: a single task, or a tree with no free slot
   // (every slot held, e.g. by the two restarts of a width-2 ladder, so a
   // dispatch would only wake workers that fail the budget and park again).
-  // A serial tree is always full.  No group, no token, no wake-up; the
-  // next nested call re-checks, so a slot freed meanwhile is still used at
-  // the next barrier.  A width-1 narrowing of a wider tree is not this
-  // case: it installs its own serial budget below.
+  // A serial tree is always full.  No group, no token, no wake-up.  The
+  // tree is re-checked after every task: once a slot frees (another fan of
+  // the tree drained), the remaining tasks are dispatched so a helper can
+  // join them.  A width-1 narrowing of a wider tree is not this case: it
+  // installs its own serial budget below.
   if (!root && (cap > 1 || tree->limit <= 1) &&
-      (count == 1 ||
-       tree->active.load(std::memory_order_relaxed) >= tree->limit)) {
-    impl.run_inline(count, task);
+      (count == 1 || !has_free_slot(*tree))) {
+    impl.inline_runs.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (count - i > 1 && cap > 1 && has_free_slot(*tree)) {
+        const anneal::Task rest = [&task, i](std::size_t k) { task(i + k); };
+        impl.fork_join(count - i, rest, cap, tl_budget, /*root=*/false);
+        return;
+      }
+      impl.run_one(task, i);
+    }
     return;
   }
 
@@ -463,7 +484,8 @@ void ExecutorPool::run(std::size_t count, const anneal::Task& task,
     serial->limit = 1;
     serial->active.store(1, std::memory_order_relaxed);
     ScopedAmbient ambient(std::move(serial));
-    impl.run_inline(count, task);
+    impl.inline_runs.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < count; ++i) impl.run_one(task, i);
     return;
   }
 
@@ -481,20 +503,24 @@ void ExecutorPool::run(std::size_t count, const anneal::Task& task,
     ScopedAmbient ambient(budget);
     impl.inline_runs.fetch_add(1, std::memory_order_relaxed);
     try {
-      task(0);
+      impl.run_one(task, 0);
     } catch (...) {
       budget->active.fetch_sub(1, std::memory_order_relaxed);
       impl.bump_epoch();
-      impl.tasks_executed.fetch_add(1, std::memory_order_relaxed);
       throw;
     }
-    impl.tasks_executed.fetch_add(1, std::memory_order_relaxed);
     budget->active.fetch_sub(1, std::memory_order_relaxed);
     impl.bump_epoch();
     return;
   }
 
-  // Parallel fork-join.
+  impl.fork_join(count, task, cap, std::move(budget), root);
+}
+
+void ExecutorPool::Impl::fork_join(std::size_t count,
+                                   const anneal::Task& task, unsigned cap,
+                                   std::shared_ptr<Budget> budget,
+                                   bool root) {
   const unsigned group_cap =
       static_cast<unsigned>(std::min<std::size_t>(cap, count));
   auto group = std::make_shared<TaskGroup>();
@@ -509,14 +535,13 @@ void ExecutorPool::run(std::size_t count, const anneal::Task& task,
   // the rest.  Root acquisition always succeeds (the tree is empty).
   if (root) budget->active.fetch_add(1, std::memory_order_relaxed);
 
-  impl.ensure_workers(impl.resolved_budget() - 1);
-  impl.dispatches.fetch_add(1, std::memory_order_relaxed);
-  impl.push_tokens(group, group_cap - 1,
-                   tl_pool == &impl ? tl_worker : nullptr);
+  ensure_workers(resolved_budget() - 1);
+  dispatches.fetch_add(1, std::memory_order_relaxed);
+  push_tokens(group, group_cap - 1, tl_pool == this ? tl_worker : nullptr);
 
   {
     ScopedAmbient ambient(budget);
-    impl.claim_loop(*group, /*stolen=*/false, /*timed=*/false);
+    claim_loop(*group, /*stolen=*/false, /*timed=*/false);
   }
   {
     std::unique_lock<std::mutex> lock(group->mutex);
@@ -526,7 +551,7 @@ void ExecutorPool::run(std::size_t count, const anneal::Task& task,
   }
   if (root) {
     budget->active.fetch_sub(1, std::memory_order_relaxed);
-    impl.bump_epoch();
+    bump_epoch();
   }
   if (group->failure) std::rethrow_exception(group->failure);
 }

@@ -26,9 +26,9 @@
 //     one task, or a tree whose every slot is already held (a width-2
 //     ladder's two restarts, an archipelago's two island threads) — runs
 //     inline on its caller under the same budget: no group, no token, no
-//     worker wake-up.  The check repeats at every nested call (every
-//     exchange or migration barrier), so a slot that frees is used at the
-//     next one;
+//     worker wake-up.  It re-checks the tree after every task and hands
+//     the tasks still left to a normal dispatch once a slot frees, so a
+//     helper released by a sibling fan can join mid-fan;
 //   * idle parking: workers with nothing claimable park on a condition
 //     variable and wake on new tokens, budget-slot releases, or shutdown;
 //   * observability: dispatch/steal/task/park counters, queue depth, and
@@ -99,7 +99,8 @@ class ExecutorPool {
   /// the join (remaining tasks are skipped).  The calling thread
   /// participates, so count == 1, an effective width of 1, or a nested
   /// call whose task tree has no free slot runs inline with no queue
-  /// traffic and no thread spawns.
+  /// traffic and no thread spawns (until a slot frees: the rest of such a
+  /// fan is then dispatched).
   ///
   /// `width` caps how many threads execute this group concurrently
   /// (0 = the pool budget).  Called from inside a pool task, the group

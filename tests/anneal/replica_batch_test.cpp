@@ -5,9 +5,12 @@
 // swap chip clones for batch views without moving the fig10 fingerprint.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anneal/replica_batch.hpp"
@@ -131,6 +134,41 @@ TEST(QuboReplicaBatch, SparseWalksMatchPerReplicaEvaluators) {
   util::Rng rng(22);
   run_batched_vs_reference(random_matrix(64, 0.12, rng),
                            qubo::Kernel::kSparse);
+}
+
+// A committed swap (one fused dense pass) leaves every field bit for bit
+// as two committed flips do, signed zeros included.
+TEST(QuboReplicaBatch, SwapCommitIsBitIdenticalToTwoFlips) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::size_t n : {2u, 3u, 64u, 65u, 100u}) {
+    for (const qubo::Kernel kernel :
+         {qubo::Kernel::kDense, qubo::Kernel::kSparse}) {
+      util::Rng rng(60 + n);
+      const QuboMatrix q = random_matrix(n, 0.75, rng);
+      QuboReplicaBatch batch(q, 2, kernel);
+      SaProblem& fused = batch.problem(0);
+      SaProblem& split = batch.problem(1);
+      const qubo::BitVector x0 = rng.random_bits(n);
+      fused.reset(x0);
+      split.reset(x0);
+      for (int step = 0; step < 200; ++step) {
+        const auto last = static_cast<std::int64_t>(n) - 1;
+        auto i = static_cast<std::size_t>(rng.uniform_int(0, last));
+        auto j = static_cast<std::size_t>(rng.uniform_int(0, last - 1));
+        if (j >= i) ++j;
+        if (i < j) std::swap(i, j);  // i > j
+        fused.commit(Move::swap(i, j));
+        split.commit(Move::flip(i));
+        split.commit(Move::flip(j));
+        ASSERT_EQ(fused.state(), split.state()) << "n=" << n;
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(bits(fused.trial_delta(Move::flip(k))),
+                    bits(split.trial_delta(Move::flip(k))))
+              << "n=" << n << " step " << step << " bit " << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(QuboReplicaBatch, AutoKernelResolvesLikeTheEvaluator) {

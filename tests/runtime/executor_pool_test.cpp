@@ -262,7 +262,8 @@ TEST(ExecutorPool, SaturatedNestedFanRunsInlineOnItsParent) {
 // The same tree at width 4 has free slots, so the nested fans must still
 // be dispatched.  Whichever nested call comes first sees exactly the two
 // top tasks' slots taken (no nested group exists yet), so at least one
-// nested dispatch is certain; the second may find the tree full.
+// nested dispatch is certain; the second may find the tree full and run
+// inline until a slot frees.
 TEST(ExecutorPool, NestedFanWithAFreeSlotIsDispatched) {
   ExecutorPool pool(4);
   std::atomic<int> started{0};
@@ -282,6 +283,54 @@ TEST(ExecutorPool, NestedFanWithAFreeSlotIsDispatched) {
   const PoolStats stats = pool.stats();
   EXPECT_GE(stats.dispatches, 2u);
   EXPECT_EQ(stats.tasks_executed, 2u + 8u);
+}
+
+// A fan inlined because its tree was full hands its remaining tasks to a
+// dispatch once a slot frees.  Width 2: the test thread and one helper each
+// run a top task.  The helper's top task returns while the test thread's
+// nested fan is inlined, which frees the helper's slot; the children then
+// wait (bounded) for the fan to be dispatched.
+TEST(ExecutorPool, InlinedFanIsDispatchedOnceASlotFrees) {
+  constexpr std::size_t kChildren = 1000;
+  ExecutorPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<bool> fan_started{false};
+  std::atomic<bool> helper_returning{false};
+  std::atomic<std::size_t> children{0};
+  const auto wait_for = [](const std::atomic<bool>& flag) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+  };
+  pool.run(
+      2,
+      [&](std::size_t) {
+        rendezvous(started, 2);
+        if (std::this_thread::get_id() != caller) {
+          wait_for(fan_started);
+          helper_returning.store(true, std::memory_order_release);
+          return;
+        }
+        pool.run(kChildren, [&](std::size_t i) {
+          children.fetch_add(1, std::memory_order_relaxed);
+          if (i == 0) {
+            fan_started.store(true, std::memory_order_release);
+            wait_for(helper_returning);
+          } else if (pool.stats().dispatches < 2) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        });
+      },
+      /*width=*/2);
+  EXPECT_EQ(children.load(), kChildren);
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.dispatches, 2u);  // the root and the handed-off rest
+  EXPECT_EQ(stats.inline_runs, 1u);
+  EXPECT_EQ(stats.tasks_executed, 2u + kChildren);
 }
 
 // An exception in an inlined nested task propagates through its parent to
@@ -305,7 +354,11 @@ TEST(ExecutorPool, ExceptionInInlinedNestedFanPropagatesAndSkipsTheRest) {
                    /*width=*/2),
                std::runtime_error);
   EXPECT_EQ(throwing_fan_ran.load(), 2);  // children 0 and 1; 2, 3 skipped
-  EXPECT_EQ(pool.stats().dispatches, 1u);
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.dispatches, 1u);
+  // The failing child counts, as a failing dispatched task does: two top
+  // tasks, four children of top 0, children 0 and 1 of top 1.
+  EXPECT_EQ(stats.tasks_executed, 2u + 4u + 2u);
   // The tree's slots were released: the pool still fans out afterwards.
   std::atomic<int> after{0};
   pool.run(8, [&](std::size_t) { after.fetch_add(1); });
